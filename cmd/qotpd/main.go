@@ -80,6 +80,7 @@ import (
 	"github.com/exploratory-systems/qotp/internal/cluster"
 	"github.com/exploratory-systems/qotp/internal/core"
 	"github.com/exploratory-systems/qotp/internal/dist"
+	"github.com/exploratory-systems/qotp/internal/engine"
 	"github.com/exploratory-systems/qotp/internal/obs"
 	"github.com/exploratory-systems/qotp/internal/repl"
 	"github.com/exploratory-systems/qotp/internal/serve"
@@ -131,16 +132,9 @@ func main() {
 	if *loop != "closed" && *loop != "open" {
 		log.Fatalf("qotpd: -loop must be closed or open, got %q", *loop)
 	}
-	var walPolicy wal.SyncPolicy
-	switch *walsync {
-	case "each":
-		walPolicy = wal.SyncEachBatch
-	case "group":
-		walPolicy = wal.SyncGroup
-	case "off":
-		walPolicy = wal.SyncOff
-	default:
-		log.Fatalf("qotpd: -walsync must be each, group or off, got %q", *walsync)
+	walPolicy, err := wal.ParseSyncPolicy(*walsync)
+	if err != nil {
+		log.Fatalf("qotpd: -walsync: %v", err)
 	}
 	if *waldir != "" && *serveMode {
 		// Concurrent remote clients make the submission stream nondeterministic,
@@ -373,14 +367,13 @@ func main() {
 		return
 	}
 
+	// One driver whether or not -pipeline made the leader a pipelined one:
+	// Submit returns once the batch (synchronous) or its predecessor
+	// (pipelined) has committed.
+	drv := engine.Drive(eng)
 	start := time.Now()
 	for b := 0; b < *batches-recovered; b++ {
-		if *pipeline {
-			err = eng.Submit(gen.NextBatch(*batchSize))
-		} else {
-			err = eng.ExecBatch(gen.NextBatch(*batchSize))
-		}
-		if err != nil {
+		if err := drv.Submit(gen.NextBatch(*batchSize)); err != nil {
 			log.Fatal(err)
 		}
 		if *crashAfter > 0 && b+1 >= *crashAfter {
@@ -391,7 +384,7 @@ func main() {
 			os.Exit(0)
 		}
 	}
-	if err := eng.Drain(); err != nil {
+	if err := drv.Drain(); err != nil {
 		log.Fatal(err)
 	}
 	elapsed := time.Since(start)

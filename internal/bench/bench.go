@@ -14,21 +14,15 @@ import (
 	"sync"
 	"time"
 
-	"github.com/exploratory-systems/qotp/internal/calvin"
 	"github.com/exploratory-systems/qotp/internal/cluster"
 	"github.com/exploratory-systems/qotp/internal/core"
 	"github.com/exploratory-systems/qotp/internal/dist"
 	"github.com/exploratory-systems/qotp/internal/engine"
-	"github.com/exploratory-systems/qotp/internal/hstore"
 	"github.com/exploratory-systems/qotp/internal/metrics"
-	"github.com/exploratory-systems/qotp/internal/mvto"
 	"github.com/exploratory-systems/qotp/internal/obs"
 	"github.com/exploratory-systems/qotp/internal/repl"
 	"github.com/exploratory-systems/qotp/internal/serve"
-	"github.com/exploratory-systems/qotp/internal/silo"
 	"github.com/exploratory-systems/qotp/internal/storage"
-	"github.com/exploratory-systems/qotp/internal/tictoc"
-	"github.com/exploratory-systems/qotp/internal/twopl"
 	"github.com/exploratory-systems/qotp/internal/txn"
 	"github.com/exploratory-systems/qotp/internal/wal"
 	"github.com/exploratory-systems/qotp/internal/workload"
@@ -147,19 +141,6 @@ type Spec struct {
 	FailoverKillAt int
 }
 
-// walPolicy parses a Spec.WALSync value.
-func walPolicy(name string) (wal.SyncPolicy, error) {
-	switch name {
-	case "each":
-		return wal.SyncEachBatch, nil
-	case "group":
-		return wal.SyncGroup, nil
-	case "off":
-		return wal.SyncOff, nil
-	}
-	return 0, fmt.Errorf("bench: unknown WALSync %q (want each, group or off)", name)
-}
-
 func (s *Spec) normalize() error {
 	if s.Threads == 0 {
 		s.Threads = 4
@@ -243,46 +224,6 @@ func buildGenerator(s *Spec) (workload.Generator, error) {
 	}
 }
 
-// buildCentral constructs a centralized engine over the loaded store; lg, if
-// non-nil, is installed as the engine-level batch logger (queue engines only).
-func buildCentral(s *Spec, store *storage.Store, lg core.BatchLogger) (engine.Engine, error) {
-	if lg != nil {
-		switch s.Engine {
-		case "quecc", "quecc-pipe", "quecc-spec", "quecc-cons", "quecc-rc":
-		default:
-			return nil, fmt.Errorf("bench: WALSync in harness mode requires a queue engine, got %q", s.Engine)
-		}
-	}
-	switch s.Engine {
-	case "quecc":
-		return core.New(store, core.Config{Planners: s.Planners, Executors: s.Threads, Mechanism: core.Speculative, Logger: lg})
-	case "quecc-pipe":
-		return core.New(store, core.Config{Planners: s.Planners, Executors: s.Threads, Mechanism: core.Speculative, Pipeline: true, Logger: lg})
-	case "quecc-spec":
-		return core.New(store, core.Config{Planners: s.Planners, Executors: s.Threads, Mechanism: core.Speculative, CrossBatch: true, Logger: lg})
-	case "quecc-cons":
-		return core.New(store, core.Config{Planners: s.Planners, Executors: s.Threads, Mechanism: core.Conservative, Logger: lg})
-	case "quecc-rc":
-		return core.New(store, core.Config{Planners: s.Planners, Executors: s.Threads, Mechanism: core.Speculative, Isolation: core.ReadCommitted, Logger: lg})
-	case "hstore":
-		return hstore.New(store, s.Threads)
-	case "calvin":
-		return calvin.New(store, s.Threads)
-	case "2pl-nowait":
-		return twopl.New(store, twopl.NoWait, s.Threads)
-	case "2pl-waitdie":
-		return twopl.New(store, twopl.WaitDie, s.Threads)
-	case "silo":
-		return silo.New(store, s.Threads)
-	case "tictoc":
-		return tictoc.New(store, s.Threads)
-	case "mvto":
-		return mvto.New(store, s.Threads)
-	default:
-		return nil, fmt.Errorf("bench: unknown centralized engine %q", s.Engine)
-	}
-}
-
 // Run executes one spec and returns its result.
 func Run(s Spec) (Result, error) {
 	if err := s.normalize(); err != nil {
@@ -300,9 +241,9 @@ func Run(s Spec) (Result, error) {
 	// log the same batches twice.
 	var wopts wal.Options
 	if s.WALSync != "" {
-		pol, perr := walPolicy(s.WALSync)
+		pol, perr := wal.ParseSyncPolicy(s.WALSync)
 		if perr != nil {
-			return Result{}, perr
+			return Result{}, fmt.Errorf("bench: WALSync: %w", perr)
 		}
 		wopts.Sync = pol
 	}
@@ -450,9 +391,15 @@ func Run(s Spec) (Result, error) {
 		if lerr := gen.Load(store); lerr != nil {
 			return Result{}, lerr
 		}
-		eng, err = buildCentral(&s, store, engineLogger)
+		proto, perr := engine.Lookup(s.Engine)
+		if perr != nil {
+			return Result{}, fmt.Errorf("bench: %w", perr)
+		}
+		// engineLogger is the engine-level batch logger; only the queue
+		// engines have the hook, and the table refuses it for the rest.
+		eng, err = proto.New(store, s.Planners, s.Threads, engineLogger)
 		if err != nil {
-			return Result{}, err
+			return Result{}, fmt.Errorf("bench: %w", err)
 		}
 	}
 	defer eng.Close()
@@ -477,15 +424,8 @@ func Run(s Spec) (Result, error) {
 	type arenaSetter interface{ SetArena(*txn.Arena) }
 	var arenas [3]*txn.Arena
 	rot := 2
-	pipe, _ := eng.(engine.Pipeliner)
-	if pipe != nil && !pipe.Pipelined() {
-		pipe = nil
-	}
-	spec, _ := eng.(engine.Speculator)
-	if spec != nil && !spec.Speculating() {
-		spec = nil
-	}
-	if spec != nil {
+	drv := engine.Drive(eng)
+	if drv.Speculating() {
 		rot = 3
 	}
 	if setter, ok := gen.(arenaSetter); ok && s.Engine != "hstore-d" && !s.NoArena {
@@ -504,32 +444,15 @@ func Run(s Spec) (Result, error) {
 		batchNo++
 		return gen.NextBatch(s.BatchSize)
 	}
-	runBatch := func() error {
-		if pipe != nil {
-			return pipe.Submit(nextBatch())
-		}
-		return eng.ExecBatch(nextBatch())
-	}
-	drain := func() error {
-		if pipe != nil {
-			if err := pipe.Drain(); err != nil {
-				return err
-			}
-		}
-		if spec != nil {
-			// Force the verdict fixpoint of a drained-but-pending batch: the
-			// stream has no successor to piggyback it on.
-			return spec.Finalize()
-		}
-		return nil
-	}
-
+	// At the end of a stream Finalize waits out the executing batch and
+	// forces the verdict fixpoint of a drained-but-pending one: there is no
+	// successor to piggyback it on.
 	for b := 0; b < s.WarmupBatches; b++ {
-		if err := runBatch(); err != nil {
+		if err := drv.Submit(nextBatch()); err != nil {
 			return Result{}, fmt.Errorf("bench: warmup batch %d: %w", b, err)
 		}
 	}
-	if err := drain(); err != nil {
+	if err := drv.Finalize(); err != nil {
 		return Result{}, fmt.Errorf("bench: warmup drain: %w", err)
 	}
 	eng.Stats().Reset()
@@ -542,11 +465,11 @@ func Run(s Spec) (Result, error) {
 	runtime.ReadMemStats(&memBefore)
 	start := time.Now()
 	for b := 0; b < s.Batches; b++ {
-		if err := runBatch(); err != nil {
+		if err := drv.Submit(nextBatch()); err != nil {
 			return Result{}, fmt.Errorf("bench: batch %d: %w", b, err)
 		}
 	}
-	if err := drain(); err != nil {
+	if err := drv.Finalize(); err != nil {
 		return Result{}, fmt.Errorf("bench: drain: %w", err)
 	}
 	elapsed := time.Since(start)
@@ -613,58 +536,33 @@ func runClients(s Spec, gen workload.Generator, eng engine.Engine, tr cluster.Tr
 			go func(c int) {
 				defer wg.Done()
 				sess := srv.Session()
-				if s.OpenLoop {
-					futs := make([]*serve.Future, 0, (len(stream)+s.Clients-1)/s.Clients)
-					for i := c; i < len(stream); i += s.Clients {
-						fut, err := sess.Submit(ctx, stream[i])
-						if err != nil {
-							if s.Shed && errors.Is(err, serve.ErrOverloaded) {
-								// Shed: the server already counted it; an
-								// open-loop arrival stream presses on.
-								continue
-							}
-							errs <- err
-							return
-						}
-						futs = append(futs, fut)
-					}
-					for _, fut := range futs {
-						if out := fut.Outcome(); out.Err != nil {
-							errs <- out.Err
-							return
-						}
-					}
-					return
-				}
-				if s.SpeculativeAcks {
-					// Speculative closed loop: gate the next submission on
-					// the provisional ack — the client-visible response —
-					// and only settle the final verdicts (which may retract
-					// some acks) once the stream is exhausted.
-					futs := make([]*serve.Future, 0, (len(stream)+s.Clients-1)/s.Clients)
-					for i := c; i < len(stream); i += s.Clients {
-						fut, err := sess.Submit(ctx, stream[i])
-						if err != nil {
-							errs <- err
-							return
-						}
-						<-fut.Speculative()
-						futs = append(futs, fut)
-					}
-					for _, fut := range futs {
-						if out := fut.Outcome(); out.Err != nil {
-							errs <- out.Err
-							return
-						}
-					}
-					return
-				}
+				// One loop for every client shape: submit, and — closed loop
+				// only — gate the next submission on the transaction's ack,
+				// which is the provisional one when the serving path publishes
+				// speculative acks (the client-visible response) and the final
+				// outcome otherwise (Future.Speculative is then Done). Final
+				// verdicts, which may retract some acks, are settled once the
+				// stream is exhausted.
+				futs := make([]*serve.Future, 0, (len(stream)+s.Clients-1)/s.Clients)
 				for i := c; i < len(stream); i += s.Clients {
-					if _, err := sess.Exec(ctx, stream[i]); err != nil {
+					fut, err := sess.Submit(ctx, stream[i])
+					if err != nil {
 						if s.Shed && errors.Is(err, serve.ErrOverloaded) {
+							// Shed: the server already counted it; the
+							// arrival stream presses on.
 							continue
 						}
 						errs <- err
+						return
+					}
+					if !s.OpenLoop {
+						<-fut.Speculative()
+					}
+					futs = append(futs, fut)
+				}
+				for _, fut := range futs {
+					if out := fut.Outcome(); out.Err != nil {
+						errs <- out.Err
 						return
 					}
 				}

@@ -136,12 +136,7 @@ func (e *Engine) Epoch() uint64 { return atomic.LoadUint64(&e.epoch) }
 // from the pipelined driver and finalizes any pending speculative batch (the
 // errors, if any, are lost — call Drain/Finalize first to observe them);
 // beyond that the engine holds no background resources.
-func (e *Engine) Close() {
-	_ = e.Drain()
-	if e.cfg.CrossBatch {
-		_ = e.Finalize()
-	}
-}
+func (e *Engine) Close() { _ = e.Finalize() }
 
 // Mechanism returns the configured execution mechanism.
 func (e *Engine) Mechanism() Mechanism { return e.cfg.Mechanism }
@@ -160,27 +155,11 @@ func (e *Engine) fail(err error) {
 // in flight from the pipelined driver is drained first, so ExecBatch and
 // Submit may be mixed (from the same goroutine).
 func (e *Engine) ExecBatch(txns []*txn.Txn) error {
-	if err := e.Drain(); err != nil {
+	// Preserve ExecBatch's synchronous contract: wait out a batch in flight
+	// and, under CrossBatch, flush any pending speculative batch first, then
+	// finalize this one before returning.
+	if err := e.Finalize(); err != nil {
 		return err
-	}
-	if e.cfg.CrossBatch {
-		// Preserve ExecBatch's synchronous contract: flush any pending
-		// speculative batch first, and finalize this one before returning.
-		if err := e.Finalize(); err != nil {
-			return err
-		}
-		if len(txns) == 0 {
-			return nil
-		}
-		start := time.Now()
-		pb, err := e.Plan(txns)
-		if err != nil {
-			return err
-		}
-		if err := e.execSpec(pb, start, nil); err != nil {
-			return err
-		}
-		return e.Finalize()
 	}
 	if len(txns) == 0 {
 		return nil
@@ -190,7 +169,13 @@ func (e *Engine) ExecBatch(txns []*txn.Txn) error {
 	if err != nil {
 		return err
 	}
-	return e.execPlanned(pb, start)
+	if !e.cfg.CrossBatch {
+		return e.execPlanned(pb, start)
+	}
+	if err := e.execSpec(pb, start, nil); err != nil {
+		return err
+	}
+	return e.Finalize()
 }
 
 // Submit is the pipelined driver API (requires Config.Pipeline): it plans the
@@ -209,11 +194,7 @@ func (e *Engine) Submit(txns []*txn.Txn) error {
 	var pb *PlannedBatch
 	var planErr error
 	if len(txns) > 0 {
-		pb = &e.pbs[e.pbIdx]
-		e.pbIdx ^= 1
-		pb.Txns = txns
-		planErr = e.plan(pb, txns)
-		e.stats.PlanNs.Add(uint64(time.Since(start).Nanoseconds()))
+		pb, planErr = e.Plan(txns)
 	}
 	// The previous batch must commit before this one may execute (and before
 	// its buffers — shared executor state, epoch — are touched).
@@ -303,11 +284,8 @@ func (e *Engine) SpecStatus() (drained, final uint64) {
 // normally piggybacks a pending batch's repair on its successor's drain;
 // Finalize is for drivers with no successor to submit — an idle serving
 // layer resolving retractions promptly, or shutdown. Driver-goroutine-only.
-// A no-op unless Config.CrossBatch.
+// Without Config.CrossBatch no batch is ever pending, so it is just Drain.
 func (e *Engine) Finalize() error {
-	if !e.cfg.CrossBatch {
-		return nil
-	}
 	if err := e.Drain(); err != nil {
 		return err
 	}
@@ -344,7 +322,6 @@ func (e *Engine) execSpec(pb *PlannedBatch, start time.Time, drained chan<- stru
 	if len(txns) == 0 {
 		return nil
 	}
-	e.failure = atomic.Value{}
 	execStart := time.Now()
 
 	prev := e.specPending
@@ -355,32 +332,14 @@ func (e *Engine) execSpec(pb *PlannedBatch, start time.Time, drained chan<- stru
 	// the cross-batch cascade fixpoint. The generation parity guarantees
 	// gen's previous contents belong to batch k-2, final since its successor
 	// k-1 drained — this reset is the before-image watermark.
-	trackSpec := pb.HasAbortable || prev != nil
-	var wg sync.WaitGroup
-	for _, ex := range e.execs {
-		wg.Add(1)
-		go func(ex *executor) {
-			defer wg.Done()
-			ex.run(pb, trackSpec, gen)
-		}(ex)
-	}
-	wg.Wait()
-	if err, _ := e.failure.Load().(error); err != nil {
+	anyAborted, err := e.drainQueues(pb, pb.HasAbortable || prev != nil, gen)
+	if err != nil {
 		return err
 	}
 	// Execution done: this batch's speculative verdicts are now readable.
 	e.specDrained.Add(1)
 	signalDrained()
 
-	anyAborted := false
-	for _, t := range txns {
-		if t.Aborted() {
-			anyAborted = true
-			break
-		}
-	}
-
-	var err error
 	switch {
 	case prev != nil:
 		// Joint cross-batch fixpoint: the predecessor's deferred repair
@@ -405,9 +364,36 @@ func (e *Engine) execSpec(pb *PlannedBatch, start time.Time, drained chan<- stru
 	return err
 }
 
-// finalizeBatch commits one batch whose state is final: logs it, advances
-// the epoch and records the outcome counters. Cross-batch mode is
-// serializable-only, so there are no speculative versions to flip.
+// drainQueues is the execution phase: every executor drains its partitions'
+// queues of the planned batch, logging accesses into generation gen when
+// trackSpec is set. It reports whether any transaction's logic aborted, or
+// the first fragment-execution error.
+func (e *Engine) drainQueues(pb *PlannedBatch, trackSpec bool, gen int) (anyAborted bool, err error) {
+	e.failure = atomic.Value{}
+	var wg sync.WaitGroup
+	for _, ex := range e.execs {
+		wg.Add(1)
+		go func(ex *executor) {
+			defer wg.Done()
+			ex.run(pb, trackSpec, gen)
+		}(ex)
+	}
+	wg.Wait()
+	if err, _ := e.failure.Load().(error); err != nil {
+		return false, err
+	}
+	for _, t := range pb.Txns {
+		if t.Aborted() {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// finalizeBatch is the commit point of one batch whose state is final: log
+// it, install the read-committed speculative versions (none under cross-batch
+// mode, which is serializable-only), advance the epoch and record the outcome
+// counters.
 func (e *Engine) finalizeBatch(txns []*txn.Txn, start time.Time) error {
 	logicAborted := 0
 	for _, t := range txns {
@@ -419,6 +405,9 @@ func (e *Engine) finalizeBatch(txns []*txn.Txn, start time.Time) error {
 		if err := e.cfg.Logger.LogBatch(e.epoch, txns); err != nil {
 			return fmt.Errorf("core: command log: %w", err)
 		}
+	}
+	if e.cfg.Isolation == ReadCommitted {
+		e.flipSpeculativeVersions()
 	}
 	atomic.AddUint64(&e.epoch, 1)
 	committed := len(txns) - logicAborted
@@ -432,65 +421,24 @@ func (e *Engine) finalizeBatch(txns []*txn.Txn, start time.Time) error {
 // Latency is observed from start (ExecBatch passes the pre-planning instant
 // so per-transaction commit latency includes the planning phase).
 func (e *Engine) execPlanned(pb *PlannedBatch, start time.Time) error {
-	txns := pb.Txns
-	if len(txns) == 0 {
+	if len(pb.Txns) == 0 {
 		return nil
 	}
-	e.failure = atomic.Value{}
 	execStart := time.Now()
-
-	// ---- Execution phase -------------------------------------------------
 	trackSpec := e.cfg.Mechanism == Speculative && pb.HasAbortable
-	var wg sync.WaitGroup
-	for _, ex := range e.execs {
-		wg.Add(1)
-		go func(ex *executor) {
-			defer wg.Done()
-			ex.run(pb, trackSpec, 0)
-		}(ex)
-	}
-	wg.Wait()
-	if err, _ := e.failure.Load().(error); err != nil {
+	anyAborted, err := e.drainQueues(pb, trackSpec, 0)
+	if err != nil {
 		return err
 	}
-
-	// ---- Deterministic abort repair --------------------------------------
-	anyAborted := false
-	for _, t := range txns {
-		if t.Aborted() {
-			anyAborted = true
-			break
-		}
-	}
+	// Deterministic abort repair, then commit.
 	if anyAborted && trackSpec {
-		if err := e.repair(txns); err != nil {
+		if err := e.repair(pb.Txns); err != nil {
 			return err
 		}
 	}
-	logicAborted := 0
-	for _, t := range txns {
-		if t.Aborted() {
-			logicAborted++
-		}
-	}
-
-	// ---- Commit ----------------------------------------------------------
-	if e.cfg.Logger != nil {
-		if err := e.cfg.Logger.LogBatch(e.epoch, txns); err != nil {
-			return fmt.Errorf("core: command log: %w", err)
-		}
-	}
-	if e.cfg.Isolation == ReadCommitted {
-		e.flipSpeculativeVersions()
-	}
-	atomic.AddUint64(&e.epoch, 1)
-
+	err = e.finalizeBatch(pb.Txns, start)
 	e.stats.ExecNs.Add(uint64(time.Since(execStart).Nanoseconds()))
-	committed := len(txns) - logicAborted
-	e.stats.Committed.Add(uint64(committed))
-	e.stats.UserAborts.Add(uint64(logicAborted))
-	e.stats.Latency.ObserveN(time.Since(start), committed)
-	return nil
+	return err
 }
 
 // plan runs the planning phase into pb: planner p owns the contiguous slice p

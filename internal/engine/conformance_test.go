@@ -9,15 +9,9 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/exploratory-systems/qotp/internal/calvin"
 	"github.com/exploratory-systems/qotp/internal/core"
 	"github.com/exploratory-systems/qotp/internal/engine"
-	"github.com/exploratory-systems/qotp/internal/hstore"
-	"github.com/exploratory-systems/qotp/internal/mvto"
-	"github.com/exploratory-systems/qotp/internal/silo"
 	"github.com/exploratory-systems/qotp/internal/storage"
-	"github.com/exploratory-systems/qotp/internal/tictoc"
-	"github.com/exploratory-systems/qotp/internal/twopl"
 	"github.com/exploratory-systems/qotp/internal/workload"
 	"github.com/exploratory-systems/qotp/internal/workload/bank"
 	"github.com/exploratory-systems/qotp/internal/workload/ycsb"
@@ -30,39 +24,16 @@ type factory struct {
 	build         func(s *storage.Store) (engine.Engine, error)
 }
 
+// allFactories is the engine.Protocols table (2 planners for the queue
+// engines), so a protocol added there is conformance-tested by construction.
 func allFactories(workers int) []factory {
-	return []factory{
-		{"quecc-spec", true, func(s *storage.Store) (engine.Engine, error) {
-			return core.New(s, core.Config{Planners: 2, Executors: workers, Mechanism: core.Speculative})
-		}},
-		{"quecc-cons", true, func(s *storage.Store) (engine.Engine, error) {
-			return core.New(s, core.Config{Planners: 2, Executors: workers, Mechanism: core.Conservative})
-		}},
-		{"quecc-rc", true, func(s *storage.Store) (engine.Engine, error) {
-			return core.New(s, core.Config{Planners: 2, Executors: workers, Mechanism: core.Speculative, Isolation: core.ReadCommitted})
-		}},
-		{"hstore", true, func(s *storage.Store) (engine.Engine, error) {
-			return hstore.New(s, workers)
-		}},
-		{"calvin", true, func(s *storage.Store) (engine.Engine, error) {
-			return calvin.New(s, workers)
-		}},
-		{"2pl-nowait", false, func(s *storage.Store) (engine.Engine, error) {
-			return twopl.New(s, twopl.NoWait, workers)
-		}},
-		{"2pl-waitdie", false, func(s *storage.Store) (engine.Engine, error) {
-			return twopl.New(s, twopl.WaitDie, workers)
-		}},
-		{"silo", false, func(s *storage.Store) (engine.Engine, error) {
-			return silo.New(s, workers)
-		}},
-		{"tictoc", false, func(s *storage.Store) (engine.Engine, error) {
-			return tictoc.New(s, workers)
-		}},
-		{"mvto", false, func(s *storage.Store) (engine.Engine, error) {
-			return mvto.New(s, workers)
-		}},
+	fs := make([]factory, len(engine.Protocols))
+	for i, p := range engine.Protocols {
+		fs[i] = factory{p.Name, p.Deterministic, func(s *storage.Store) (engine.Engine, error) {
+			return p.New(s, 2, workers, nil)
+		}}
 	}
+	return fs
 }
 
 // runGen executes nBatches x batchSize transactions from a fresh generator

@@ -51,11 +51,17 @@ type Pipeliner interface {
 // batch's verdicts are provisional between its drain and its finalization.
 // SpecStatus exposes the two monotonic batch watermarks: drained (execution
 // done; speculative verdicts readable off the transactions, but revocable)
-// and final (verdict fixpoint committed; verdicts immutable). Finalize
+// and final (verdict fixpoint committed; verdicts immutable). Finalize waits
+// out a batch still executing (returning its error, as Drain would) and
 // forces the fixpoint of a drained-but-unfinalized batch when there is no
 // successor to piggyback it on — the serving layer calls it on an idle
-// engine so retracted speculative acks resolve promptly. All methods are
-// driver-goroutine-only, like the Pipeliner's.
+// engine so retracted speculative acks resolve promptly; on return every
+// submitted batch is final. All methods are driver-goroutine-only, like the
+// Pipeliner's.
+//
+// Speculator is also the one contract batches are driven through whatever the
+// engine: Drive presents pipelined and synchronous engines as its degenerate
+// cases (drained == final), with Speculating() false.
 type Speculator interface {
 	Pipeliner
 	// Speculating reports whether cross-batch speculation is actually

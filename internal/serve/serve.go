@@ -16,21 +16,30 @@
 // contract). It gathers submissions from a bounded queue into a batch until
 // either MaxBatch transactions have accumulated or MaxDelay has elapsed since
 // the batch's first transaction arrived — the classic group-commit triggers —
-// then hands the batch to the engine. When the engine implements
-// engine.Pipeliner (core.Config.Pipeline, dist.ArgPipeline), the former uses
-// Submit/Drain so forming and planning batch k+1 overlap the execution of
-// batch k; otherwise it falls back to synchronous ExecBatch, and the queue
-// buffers arrivals during execution.
+// then numbers the batch, logs it (Config.WAL) and hands it to the engine
+// through the one driver contract every engine is given by engine.Drive:
+// Submit the batch, then watch two watermarks — how many submitted batches
+// have drained, and how many are final. The batch joins a window of
+// submitted-but-unfinal batches, each entry carrying its own sequence number.
+// What overlaps with what is the engine's business, not a second code path
+// here: a speculating engine (core.Config.CrossBatch) executes batch k+1
+// before batch k's verdicts are final; a pipelined engine (core.Config.Pipeline,
+// dist.ArgPipeline) has drained == final and overlaps forming and planning
+// batch k+1 with the execution of batch k; a synchronous engine is final when
+// Submit returns, so its window is always empty and the queue buffers
+// arrivals during execution.
 //
 // # Verdict routing
 //
 // Engines report per-transaction verdicts through the transaction itself: at
 // the batch commit point every transaction is either committed or carries the
-// deterministic logic-abort bit (txn.Aborted). The former reads those bits
-// when the engine driver returns — ExecBatch returning, or the pipelined
-// Submit/Drain confirming the *previous* batch — and resolves each
-// submission's Future with a committed/aborted Outcome and the transaction's
-// true end-to-end latency (enqueue to commit). An engine error is terminal
+// deterministic logic-abort bit (txn.Aborted). The former polls the
+// watermarks between arrivals, around every Submit and when the queue goes
+// idle; a window entry at or below the final watermark has its bits read and
+// each submission's Future resolved with a committed/aborted Outcome, the
+// entry's batch number and the transaction's true end-to-end latency (enqueue
+// to commit). An entry that has drained but is not final can publish a
+// provisional ack first (Config.SpeculativeAcks). An engine error is terminal
 // (deterministic engines cannot resynchronize mid-batch): every outstanding
 // and future submission fails with that error.
 //
@@ -206,10 +215,6 @@ type Future struct {
 
 func newFuture() *Future { return &Future{done: make(chan struct{})} }
 
-func newSpecFuture() *Future {
-	return &Future{done: make(chan struct{}), specDone: make(chan struct{})}
-}
-
 // Done returns a channel closed when the outcome is available.
 func (f *Future) Done() <-chan struct{} { return f.done }
 
@@ -303,15 +308,11 @@ type submission struct {
 // with New; submit with Submit or through Sessions; stop with Close. All
 // methods are safe for concurrent use.
 type Server struct {
-	eng  engine.Engine
-	pipe engine.Pipeliner  // non-nil only when the pipelined driver is enabled
-	spec engine.Speculator // non-nil only when cross-batch speculation is enabled
-	cfg  Config
+	drv engine.Speculator // engine.Drive(eng): the single batch driver
+	cfg Config
 
-	// specAcks gates publishing early acks to futures; even without it, a
-	// speculating engine requires the window-based former below, because
-	// Submit returning only means the previous batch *drained* — its
-	// verdicts are still provisional until the finalized watermark passes it.
+	// specAcks gates publishing early acks to futures: Config.SpeculativeAcks
+	// on an engine whose drained watermark can run ahead of its final one.
 	specAcks bool
 
 	in chan submission
@@ -342,11 +343,10 @@ type Server struct {
 	done chan struct{} // closed when the former has drained and exited
 
 	// The former's batch buffers (former goroutine only): a rotating
-	// triple. With a pipelined engine batch k is still executing — and its
-	// submissions still unresolved — while batch k+1 is being gathered, so
-	// two generations overlap; under cross-batch speculation batch k can
-	// additionally still be *pending* (drained, verdicts provisional) while
-	// k+1 executes and k+2 is being gathered — three live generations. A
+	// triple, one per batch the window can hold plus the one being gathered.
+	// Batch k can still be *pending* (drained, verdicts provisional) while
+	// k+1 executes and k+2 is being gathered — three live generations; a
+	// pipelined engine uses two of them, a synchronous one a single one. A
 	// buffer is reused only when its batch is final.
 	subs    []submission
 	txns    []*txn.Txn
@@ -354,20 +354,19 @@ type Server struct {
 	txnsBuf [3][]*txn.Txn
 	bufIdx  int
 
-	// window is the speculative former's outstanding-batch window (former
-	// goroutine only; at most two entries: one pending-final, one
-	// executing). submitIdx numbers Submit calls so entries can be compared
-	// against the engine's drained/final batch watermarks.
-	window    []specEntry
+	// window holds the submitted-but-unfinal batches (former goroutine only;
+	// at most two entries: one pending-final, one executing). submitIdx is the
+	// driver's count of submitted batches — the scale its drained/final
+	// watermarks are on — so entries can be compared against them.
+	window    []windowEntry
 	submitIdx uint64
 }
 
-// specEntry is one submitted-but-unfinalized batch in the speculative
-// former's window.
-type specEntry struct {
+// windowEntry is one submitted-but-unfinal batch.
+type windowEntry struct {
 	subs  []submission
 	seq   uint64 // formed-batch sequence (Outcome.Batch)
-	idx   uint64 // 1-based Submit index, compared against SpecStatus watermarks
+	idx   uint64 // the batch's ordinal on the driver's watermark scale
 	acked bool   // speculative acks already published
 }
 
@@ -380,7 +379,7 @@ func New(eng engine.Engine, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		eng:     eng,
+		drv:     engine.Drive(eng),
 		cfg:     cfg,
 		dedup:   cfg.Dedup,
 		in:      make(chan submission, cfg.MaxPending),
@@ -390,13 +389,11 @@ func New(eng engine.Engine, cfg Config) (*Server, error) {
 	if s.dedup == nil {
 		s.dedup = NewDedupWindow()
 	}
-	if p, ok := eng.(engine.Pipeliner); ok && p.Pipelined() {
-		s.pipe = p
-	}
-	if sp, ok := eng.(engine.Speculator); ok && sp.Speculating() {
-		s.spec = sp
-		s.specAcks = cfg.SpeculativeAcks
-	}
+	s.specAcks = cfg.SpeculativeAcks && s.drv.Speculating()
+	// The engine is idle at hand-over, so every batch it has ever been given
+	// has drained: the next Submit is batch drained+1 on its watermark scale,
+	// however many batches (warm-up, replay) ran before the server existed.
+	s.submitIdx, _ = s.drv.SpecStatus()
 	s.reg = cfg.Metrics
 	if s.reg == nil && cfg.MetricsAddr != "" {
 		s.reg = obs.New()
@@ -523,7 +520,7 @@ func (s *Server) submit(ctx context.Context, t *txn.Txn, sess *Session) (*Future
 	}
 	fut := newFuture()
 	if s.specAcks {
-		fut = newSpecFuture()
+		fut.specDone = make(chan struct{})
 	}
 	if t.ClientID != 0 {
 		// Exactly-once resubmission: a duplicate of an in-flight submission
@@ -615,52 +612,32 @@ func (s *Server) Close() error {
 // run is the batch former: the engine's single driver goroutine.
 func (s *Server) run() {
 	defer close(s.done)
-	// inflight holds the submissions of the batch the pipelined driver is
-	// executing in the background (nil when idle or non-pipelined).
-	var inflight []submission
 
-	// fail is the single terminal-error epilogue: record the error, sweep
-	// the given batches plus the in-flight one (resolve is idempotent, so
-	// already-resolved futures are untouched), then keep consuming until
-	// Close so Block-mode submitters can never wedge on a full queue nobody
-	// drains; each straggler fails fast.
-	fail := func(err error, batches ...[]submission) {
-		if isDemotion(err) {
-			// Leadership handover, not an engine failure: the replication
-			// layer fenced this node off because a newer-term leader owns
-			// the stream. Stop cleanly — pending and future submissions
-			// resolve with the retryable ErrConnLost, telling clients to
-			// redial the new leader and resubmit (the dedup window there
-			// makes the resubmission exactly-once). Nothing here poisons the
-			// engine; its state is simply no longer authoritative.
-			err = ErrConnLost
-		}
-		s.failure.CompareAndSwap(nil, err)
-		for _, b := range batches {
-			s.failBatch(b, err)
-		}
-		s.failBatch(inflight, err)
-		s.failWindow(err)
+	// abort is the terminal-error epilogue: fail the window and the batch in
+	// hand, then keep consuming until Close so Block-mode submitters can never
+	// wedge on a full queue nobody drains; each straggler fails fast.
+	abort := func(err error, batch []submission) {
+		err = s.fail(err)
+		s.failBatch(batch, err)
 		for sub := range s.in {
 			sub.fut.resolve(Outcome{Err: err})
 		}
 	}
 
 	for {
-		first, ok := s.next(&inflight)
+		first, ok := s.next()
 		if !ok {
 			break
 		}
-		if err, _ := s.failure.Load().(error); err != nil {
-			// next() drained a pipelined batch that failed; first was
-			// already accepted, so fail it along with everything else.
-			first.fut.resolve(Outcome{Err: err})
-			fail(err)
+		if err := s.Err(); err != nil {
+			// next() saw the window fail; first was already accepted, so it
+			// fails along with everything else.
+			abort(err, []submission{first})
 			return
 		}
 		s.subs = s.subsBuf[s.bufIdx][:0]
 		s.txns = s.txnsBuf[s.bufIdx][:0]
-		batch := s.gather(first, &inflight)
+		batch := s.gather(first)
 		s.subsBuf[s.bufIdx] = s.subs
 		s.txnsBuf[s.bufIdx] = s.txns
 		s.bufIdx = (s.bufIdx + 1) % 3
@@ -668,96 +645,38 @@ func (s *Server) run() {
 		// and fill ratio. Nil-safe — no registry, no cost beyond two calls.
 		s.wForming.ObserveDuration(time.Since(first.enq))
 		s.wFill.Observe(float64(len(batch)) / float64(s.cfg.MaxBatch))
-		if err, _ := s.failure.Load().(error); err != nil {
-			// A mid-gather TryDrain surfaced a terminal error.
-			fail(err, batch)
+		if err := s.Err(); err != nil {
+			// A mid-gather poll surfaced a terminal error.
+			abort(err, batch)
 			return
 		}
 		seq := s.batchSeq.Add(1)
 		if s.cfg.WAL != nil {
-			// Log the formed batch before any dispatch path sees it: once the
-			// engine (pipelined or not) starts on the batch, its input is
-			// already durable per the sync policy.
+			// Log the formed batch before the engine sees it: once execution
+			// starts, its input is already durable per the sync policy.
 			if err := s.cfg.WAL.LogBatch(seq, s.txns); err != nil {
-				fail(err, batch)
+				abort(err, batch)
 				return
 			}
 		}
-		if s.spec != nil {
-			// Speculative former: Submit returns once the previous batch has
-			// drained (verdicts provisional, not final), so futures cannot be
-			// resolved off Submit's return the way the plain pipelined path
-			// does. The batch joins the window; pollSpec advances it against
-			// the engine's drained/final watermarks — publishing early acks
-			// at the drain watermark, final outcomes at the final watermark.
-			if err := s.pipe.Submit(s.txns); err != nil {
-				fail(err, batch)
-				return
-			}
-			s.submitIdx++
-			s.window = append(s.window, specEntry{subs: batch, seq: seq, idx: s.submitIdx})
-			s.pollSpec()
-			continue
-		}
-		if s.pipe != nil {
-			// Resolve the previous batch now if it already finished: its
-			// clients get accurate outcomes at the earliest point, and a
-			// Submit error below is then unambiguously *this* batch's
-			// planning failure rather than maybe-the-previous-batch's.
-			s.tryResolveInflight(&inflight)
-			if err, _ := s.failure.Load().(error); err != nil {
-				fail(err, batch)
-				return
-			}
-			// Submit returns once the *previous* batch has committed (or
-			// errored); this batch then executes in the background.
-			err := s.pipe.Submit(s.txns)
-			if err != nil {
-				// With a batch still in flight the error may belong to its
-				// execution or to this batch's planning; the engine cannot
-				// be resynchronized either way, so both fail terminally
-				// (fail sweeps inflight too). With no batch in flight the
-				// error is this batch's alone.
-				fail(err, batch)
-				return
-			}
-			s.resolveBatch(inflight, seq-1)
-			inflight = batch
-		} else {
-			err := s.eng.ExecBatch(s.txns)
-			if err != nil {
-				fail(err, batch)
-				return
-			}
-			s.resolveBatch(batch, seq)
-		}
-	}
-
-	// Input closed and drained: close the loop on the pipelined tail — and,
-	// for a speculating engine, force the deferred verdict fixpoint so every
-	// windowed batch finalizes and resolves.
-	if s.spec != nil {
-		err := s.pipe.Drain()
-		if err == nil {
-			err = s.spec.Finalize()
-		}
-		if err != nil {
-			s.failure.CompareAndSwap(nil, err)
-			s.failWindow(err)
+		// Answer a predecessor that finished meanwhile before planning this
+		// batch, not after. Then Submit: it returns once the previous batch
+		// has drained — final for most engines, provisional for a speculating
+		// one — so nothing is resolved off its return; the batch joins the
+		// window and the watermarks say what is ready. An error may belong to
+		// this batch's planning or to a windowed batch's execution; the engine
+		// cannot be resynchronized either way, so all of them fail.
+		s.poll()
+		if err := s.drv.Submit(s.txns); err != nil {
+			abort(err, batch)
 			return
 		}
-		s.pollSpec() // final watermark now covers the whole window
-		return
+		s.submitIdx++
+		s.window = append(s.window, windowEntry{subs: batch, seq: seq, idx: s.submitIdx})
+		s.poll()
 	}
-	if inflight != nil {
-		err := s.pipe.Drain()
-		if err != nil {
-			s.failure.CompareAndSwap(nil, err)
-			s.failBatch(inflight, err)
-			return
-		}
-		s.resolveBatch(inflight, s.batchSeq.Load())
-	}
+	// Input closed and drained. next() closes out the window before it reports
+	// that, so every accepted transaction is already resolved.
 }
 
 // isDemotion reports whether err marks a replication-leadership handover
@@ -768,33 +687,43 @@ func isDemotion(err error) bool {
 	return errors.As(err, &d) && d.Demoted()
 }
 
-// failWindow fails every batch still in the speculative window. Retraction
+// fail records the terminal error — the first one wins — and fails every
+// batch still in the window, returning the error clients are told. Retraction
 // semantics hold here too: a future that was speculatively acked committed
 // and now resolves with an error reports Retracted.
-func (s *Server) failWindow(err error) {
+func (s *Server) fail(err error) error {
+	if isDemotion(err) {
+		// Leadership handover, not an engine failure: the replication layer
+		// fenced this node off because a newer-term leader owns the stream.
+		// Pending and future submissions resolve with the retryable
+		// ErrConnLost, telling clients to redial the new leader and resubmit
+		// (the dedup window there makes the resubmission exactly-once).
+		// Nothing here poisons the engine; its state is simply no longer
+		// authoritative.
+		err = ErrConnLost
+	}
+	s.failure.CompareAndSwap(nil, err)
 	for _, w := range s.window {
 		s.failBatch(w.subs, err)
 	}
 	s.window = s.window[:0]
+	return err
 }
 
-// pollSpec advances the speculative window against the engine's batch
-// watermarks: entries at or below the final watermark resolve their futures
-// with final verdicts (and are popped); drained-but-unfinalized entries get
-// speculative acks published once (Config.SpeculativeAcks). The drained
-// watermark is an atomic counter stored after the execution phase completes,
-// so reading txn verdict bits after observing it is race-free; verdicts read
-// this way are provisional by contract.
-func (s *Server) pollSpec() { s.pollSpecAcked() }
-
-// pollSpecAcked is pollSpec reporting whether it published at least one new
+// poll advances the window against the driver's batch watermarks: entries at
+// or below the final watermark resolve their futures with final verdicts (and
+// are popped); drained-but-unfinal entries get speculative acks published
+// once (Config.SpeculativeAcks). It reports whether it published a new
 // speculative ack — i.e. whether some client just received a provisional
-// answer it may respond to with a resubmission.
-func (s *Server) pollSpecAcked() bool {
+// answer it may respond to with a resubmission. The drained watermark is
+// stored after the execution phase completes, so reading txn verdict bits
+// after observing it is race-free; verdicts read this way are provisional by
+// contract.
+func (s *Server) poll() (acked bool) {
 	if len(s.window) == 0 {
 		return false
 	}
-	drained, final := s.spec.SpecStatus()
+	drained, final := s.drv.SpecStatus()
 	for len(s.window) > 0 && s.window[0].idx <= final {
 		w := s.window[0]
 		copy(s.window, s.window[1:])
@@ -804,7 +733,6 @@ func (s *Server) pollSpecAcked() bool {
 	if !s.specAcks {
 		return false
 	}
-	acked := false
 	for i := range s.window {
 		w := &s.window[i]
 		if !w.acked && w.idx <= drained {
@@ -816,36 +744,33 @@ func (s *Server) pollSpecAcked() bool {
 	return acked
 }
 
-// pollEngine is the former's between-arrivals engine poll: the plain
-// pipelined form opportunistically resolves the in-flight batch (TryDrain);
-// the speculative form advances the window, and — when the engine has gone
-// idle with batches still pending finalization — forces the deferred
-// fixpoint so retractions resolve promptly rather than at the next forming
-// window.
-func (s *Server) pollEngine(inflight *[]submission) {
-	if s.spec == nil {
-		s.tryResolveInflight(inflight)
-		return
-	}
-	s.pollSpec()
+// pollEngine is the former's between-arrivals engine poll: it advances the
+// window, surfaces an execution error, and — when the engine has gone idle
+// with a batch still pending finalization — forces the deferred fixpoint so
+// retractions resolve promptly rather than at the next forming window.
+func (s *Server) pollEngine() {
+	s.poll()
 	if len(s.window) == 0 {
 		return
 	}
-	done, err := s.pipe.TryDrain()
-	if !done {
-		return
-	}
-	if err == nil {
+	done, err := s.drv.TryDrain()
+	if err != nil {
+		s.fail(err)
+	} else if done {
 		// Engine idle: nothing is executing, so a pending batch has no
 		// successor to piggyback its fixpoint on. Finalize now.
-		err = s.spec.Finalize()
+		s.finalize()
 	}
-	if err != nil {
-		s.failure.CompareAndSwap(nil, err)
-		s.failWindow(err)
+}
+
+// finalize forces the window final — waiting out an executing batch and
+// running any deferred verdict fixpoint — and resolves it.
+func (s *Server) finalize() {
+	if err := s.drv.Finalize(); err != nil {
+		s.fail(err)
 		return
 	}
-	s.pollSpec()
+	s.poll()
 }
 
 // specResolveBatch publishes provisional outcomes for a drained batch. Only
@@ -867,127 +792,72 @@ func (s *Server) specResolveBatch(batch []submission, seq uint64) {
 	}
 }
 
-// tryResolveInflight opportunistically resolves the pipelined in-flight
-// batch if its execution has already finished (TryDrain), so committed
-// clients are answered the moment their batch lands rather than when the
-// former next touches the engine. A terminal error is recorded in s.failure
-// and the batch failed; callers observe it through the failure slot.
-func (s *Server) tryResolveInflight(inflight *[]submission) {
-	if *inflight == nil || s.pipe == nil {
-		return
-	}
-	done, err := s.pipe.TryDrain()
-	if !done {
-		return
-	}
-	if err != nil {
-		s.failure.CompareAndSwap(nil, err)
-		s.failBatch(*inflight, err)
-	} else {
-		s.resolveBatch(*inflight, s.batchSeq.Load())
-	}
-	*inflight = nil
-}
-
-// next blocks for the first submission of the next batch. With a pipelined
-// batch in flight and an idle queue it first drains that batch — resolving
-// its futures as early as possible instead of parking them until the next
-// arrival — then blocks. Returns ok=false when the input is closed and empty
-// (after likewise draining any in-flight batch).
-func (s *Server) next(inflight *[]submission) (submission, bool) {
-	if s.spec != nil {
-		s.pollSpec()
-		if len(s.window) > 0 {
-			select {
-			case sub, ok := <-s.in:
-				if ok {
-					return sub, true
-				}
-			default:
-			}
-			// Queue idle (or closed): wait for the executing batch to
-			// *drain* — WaitDrained returns at the watermark, before any
-			// deferred fixpoint work on the exec goroutine — and publish
-			// its speculative acks immediately: the acked clients are
-			// exactly the ones whose resubmissions form the successor batch
-			// that piggybacks the fixpoint, so the repair runs during their
-			// think time and the next forming window, off every ack path.
-			// Grant them one forming window to come back; only if the queue
-			// stays idle (no client is returning) force the deferred
-			// fixpoint and answer every windowed client finally.
-			s.spec.WaitDrained()
-			if s.pollSpecAcked() && s.cfg.MaxDelay > 0 {
-				t := time.NewTimer(s.cfg.MaxDelay)
-				select {
-				case sub, ok := <-s.in:
-					t.Stop()
-					if ok {
-						return sub, true
-					}
-				case <-t.C:
-				}
-			} else {
-				select {
-				case sub, ok := <-s.in:
-					if ok {
-						return sub, true
-					}
-				default:
-				}
-			}
-			err := s.spec.Finalize()
-			if err != nil {
-				s.failure.CompareAndSwap(nil, err)
-				s.failWindow(err)
-				// Surface through the normal path: the next accepted
-				// submission (if any) fails in run's failure check.
-				sub, ok := <-s.in
-				return sub, ok
-			}
-			s.pollSpec()
+// next blocks for the first submission of the next batch. With batches still
+// in the window and an idle queue it first closes them out — resolving their
+// futures as early as possible instead of parking them until the next
+// arrival — then blocks. Returns ok=false when the input is closed and empty;
+// the window is empty by then, so this is also the shutdown drain.
+func (s *Server) next() (submission, bool) {
+	s.poll()
+	if len(s.window) > 0 {
+		if sub, ok := s.recv(0); ok {
+			return sub, true
 		}
-		sub, ok := <-s.in
-		return sub, ok
-	}
-	s.tryResolveInflight(inflight)
-	if *inflight != nil {
-		select {
-		case sub, ok := <-s.in:
-			if ok {
-				return sub, true
-			}
-		default:
+		// Queue idle (or closed): the engine has nothing to overlap with, so
+		// wait for the executing batch to *drain* — WaitDrained returns at the
+		// watermark, before any deferred fixpoint work — and answer its
+		// clients. Where that answer is a speculative ack, the acked clients
+		// are exactly the ones whose resubmissions form the successor batch
+		// that piggybacks the fixpoint, so the repair runs during their think
+		// time and the next forming window, off every ack path: grant them
+		// one forming window to come back. Only if the queue stays idle (no
+		// client is returning) force the deferred fixpoint and answer every
+		// windowed client finally. A failure there surfaces through the normal
+		// path: the next accepted submission (if any) fails in run's check.
+		s.drv.WaitDrained()
+		var grace time.Duration
+		if s.poll() {
+			grace = s.cfg.MaxDelay
 		}
-		// Queue idle (or closed): the engine has nothing to overlap with,
-		// so wait out the in-flight batch and resolve its clients now.
-		err := s.pipe.Drain()
-		if err != nil {
-			s.failure.CompareAndSwap(nil, err)
-			s.failBatch(*inflight, err)
-		} else {
-			s.resolveBatch(*inflight, s.batchSeq.Load())
+		if sub, ok := s.recv(grace); ok {
+			return sub, true
 		}
-		*inflight = nil
-		if err != nil {
-			// Surface through the normal path: the next accepted submission
-			// (if any) fails in run's failure check.
-			sub, ok := <-s.in
-			return sub, ok
-		}
+		s.finalize()
 	}
 	sub, ok := <-s.in
 	return sub, ok
 }
 
+// recv takes a queued submission, waiting at most d for one to arrive (not at
+// all when d <= 0); ok=false when none came or the input is closed.
+func (s *Server) recv(d time.Duration) (submission, bool) {
+	if d <= 0 {
+		select {
+		case sub, ok := <-s.in:
+			return sub, ok
+		default:
+			return submission{}, false
+		}
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case sub, ok := <-s.in:
+		return sub, ok
+	case <-t.C:
+		return submission{}, false
+	}
+}
+
 // gather forms one batch starting from first: it keeps accepting until
 // MaxBatch transactions are in hand or MaxDelay has passed since first
-// arrived, polling the pipelined in-flight batch along the way so its
-// clients resolve at commit rather than after this forming window (the
+// arrived, polling the windowed batches along the way so their clients
+// resolve at commit rather than after this forming window (the
 // latency-honesty requirement: a gather can last up to MaxDelay). It
 // appends into s.subs/s.txns, which run() points at the batch's rotation
 // buffer beforehand; the returned slice stays valid until that buffer's
 // next reuse, one full batch after this one resolves.
-func (s *Server) gather(first submission, inflight *[]submission) []submission {
+func (s *Server) gather(first submission) []submission {
 	s.subs = append(s.subs[:0], first)
 	deadline := first.enq.Add(s.cfg.MaxDelay)
 	var timer *time.Timer
@@ -997,7 +867,7 @@ func (s *Server) gather(first submission, inflight *[]submission) []submission {
 		}
 	}()
 	for len(s.subs) < s.cfg.MaxBatch {
-		s.pollEngine(inflight)
+		s.pollEngine()
 		if s.failure.Load() != nil {
 			// Terminal failure surfaced mid-gather: stop forming now so
 			// run() fails the gathered submissions immediately — waiting
@@ -1016,11 +886,11 @@ func (s *Server) gather(first submission, inflight *[]submission) []submission {
 		default:
 		}
 		if wait := time.Until(deadline); wait > 0 {
-			// Bound the timer wait while a batch is in flight (or the
-			// speculative window is non-empty) so commits — and speculative
-			// finalizations with their possible retractions — are observed
-			// promptly mid-gather rather than at the next forming window.
-			if (*inflight != nil || len(s.window) > 0) && wait > 100*time.Microsecond {
+			// Bound the timer wait while the window is non-empty so commits —
+			// and speculative finalizations with their possible retractions —
+			// are observed promptly mid-gather rather than at the next forming
+			// window.
+			if len(s.window) > 0 && wait > 100*time.Microsecond {
 				wait = 100 * time.Microsecond
 			}
 			if timer == nil {

@@ -13,22 +13,55 @@ import (
 	"github.com/exploratory-systems/qotp/internal/txn"
 )
 
-// fakeEngine is a controllable engine.Engine: it can stall inside ExecBatch
-// (gate), fail, and abort every nth transaction, and it records the batch
-// sizes it was handed — the group-commit shapes under test.
+// fakeKind selects which of the three driver shapes a fakeEngine presents to
+// engine.Drive — like core.Engine, the fake carries every driver method
+// structurally and its configuration says which are live.
+type fakeKind int
+
+const (
+	fakeSync fakeKind = iota // ExecBatch only
+	fakePipe                 // Submit launches the batch in the background
+	fakeSpec                 // Submit drains at once; the batch stays pending until finalized
+)
+
+var fakeKinds = []struct {
+	name string
+	kind fakeKind
+}{{"sync", fakeSync}, {"pipelined", fakePipe}, {"speculative", fakeSpec}}
+
+// fakeEngine is a controllable engine: every batch passes through finish —
+// the point its verdicts become final — where it can stall (gate), fail
+// (execErr) and abort every nth transaction, and where its size is recorded
+// (the group-commit shapes under test). Where finish runs is the kind:
+// inside ExecBatch, on a background goroutine launched by Submit, or — for
+// the speculative kind, whose Submit drains at once with all-committed
+// provisional verdicts — at finalization (the next Submit, or Finalize).
 type fakeEngine struct {
+	kind     fakeKind
 	mu       sync.Mutex
 	sizes    []int
-	entered  chan struct{} // receives one token per ExecBatch entry, if non-nil
-	gate     chan struct{} // ExecBatch blocks until closed/fed, if non-nil
+	entered  chan struct{} // receives one token per batch entering finish, if non-nil
+	gate     chan struct{} // finish blocks until closed/fed, if non-nil
+	exited   chan struct{} // fakePipe: one token per batch whose result is drainable, if non-nil
 	execErr  error
 	abortNth int // mark every nth transaction (1-based within batch) aborted
 	stats    metrics.Stats
+
+	inflight chan error // fakePipe: the background batch (driver goroutine only)
+
+	// fakeSpec watermarks; non-zero initial values model an engine that ran
+	// batches before the server existed.
+	drained, final uint64
+	pending        []*txn.Txn
 }
 
-func (f *fakeEngine) Name() string { return "fake" }
+func (f *fakeEngine) Name() string          { return "fake" }
+func (f *fakeEngine) Stats() *metrics.Stats { return &f.stats }
+func (f *fakeEngine) Close()                {}
+func (f *fakeEngine) Pipelined() bool       { return f.kind != fakeSync }
+func (f *fakeEngine) Speculating() bool     { return f.kind == fakeSpec }
 
-func (f *fakeEngine) ExecBatch(txns []*txn.Txn) error {
+func (f *fakeEngine) finish(txns []*txn.Txn) error {
 	if f.entered != nil {
 		f.entered <- struct{}{}
 	}
@@ -49,8 +82,72 @@ func (f *fakeEngine) ExecBatch(txns []*txn.Txn) error {
 	return nil
 }
 
-func (f *fakeEngine) Stats() *metrics.Stats { return &f.stats }
-func (f *fakeEngine) Close()                {}
+func (f *fakeEngine) ExecBatch(txns []*txn.Txn) error {
+	if f.kind != fakeSync {
+		panic("pipelined engine must be driven via Submit")
+	}
+	return f.finish(txns)
+}
+
+func (f *fakeEngine) Submit(txns []*txn.Txn) error {
+	if f.kind == fakeSpec {
+		if err := f.Finalize(); err != nil {
+			return err
+		}
+		f.drained++
+		f.pending = txns
+		return nil
+	}
+	if err := f.Drain(); err != nil {
+		return err
+	}
+	ch := make(chan error, 1)
+	f.inflight = ch
+	go func() {
+		ch <- f.finish(txns)
+		if f.exited != nil {
+			f.exited <- struct{}{}
+		}
+	}()
+	return nil
+}
+
+func (f *fakeEngine) Drain() error {
+	if f.inflight == nil {
+		return nil
+	}
+	err := <-f.inflight
+	f.inflight = nil
+	return err
+}
+
+func (f *fakeEngine) TryDrain() (bool, error) {
+	if f.inflight == nil {
+		return true, nil
+	}
+	select {
+	case err := <-f.inflight:
+		f.inflight = nil
+		return true, err
+	default:
+		return false, nil
+	}
+}
+
+func (f *fakeEngine) WaitDrained()                 {}
+func (f *fakeEngine) SpecStatus() (uint64, uint64) { return f.drained, f.final }
+
+func (f *fakeEngine) Finalize() error {
+	if f.pending == nil {
+		return nil
+	}
+	if err := f.finish(f.pending); err != nil {
+		return err
+	}
+	f.pending = nil
+	f.final++
+	return nil
+}
 
 func (f *fakeEngine) batchSizes() []int {
 	f.mu.Lock()
@@ -64,11 +161,34 @@ func mkTxn(id uint64) *txn.Txn {
 	return t
 }
 
-// TestSizeTrigger: with a long MaxDelay, batches must form on MaxBatch
+// TestDriverScenarios runs the former's driver-facing behaviours — forming on
+// the size and time triggers, resolution at commit rather than at the next
+// Submit, terminal engine failure, Close draining the window — over all three
+// shapes engine.Drive can hand the server, so each is checked on every
+// adapter.
+func TestDriverScenarios(t *testing.T) {
+	scenarios := []struct {
+		name string
+		run  func(*testing.T, fakeKind)
+	}{
+		{"SizeTrigger", scenarioSizeTrigger},
+		{"TimeTrigger", scenarioTimeTrigger},
+		{"EarlyResolution", scenarioEarlyResolution},
+		{"EngineFailure", scenarioEngineFailure},
+		{"CloseMidFlightDrains", scenarioCloseMidFlightDrains},
+	}
+	for _, sc := range scenarios {
+		for _, k := range fakeKinds {
+			t.Run(sc.name+"/"+k.name, func(t *testing.T) { sc.run(t, k.kind) })
+		}
+	}
+}
+
+// scenarioSizeTrigger: with a long MaxDelay, batches must form on MaxBatch
 // exactly — 8 submissions become two batches of 4, and outcomes report the
 // shared batch sequence (group-commit evidence).
-func TestSizeTrigger(t *testing.T) {
-	eng := &fakeEngine{}
+func scenarioSizeTrigger(t *testing.T, kind fakeKind) {
+	eng := &fakeEngine{kind: kind}
 	s, err := New(eng, Config{MaxBatch: 4, MaxDelay: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -92,13 +212,8 @@ func TestSizeTrigger(t *testing.T) {
 		}
 		byBatch[out.Batch]++
 	}
-	if len(byBatch) != 2 {
-		t.Errorf("outcomes spread over %d batches, want 2 (%v)", len(byBatch), byBatch)
-	}
-	for b, n := range byBatch {
-		if n != 4 {
-			t.Errorf("batch %d carried %d outcomes, want 4", b, n)
-		}
+	if byBatch[1] != 4 || byBatch[2] != 4 {
+		t.Errorf("outcomes per batch %v, want 4 each in batches 1 and 2", byBatch)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -110,11 +225,10 @@ func TestSizeTrigger(t *testing.T) {
 	}
 }
 
-// TestTimeTrigger: with MaxBatch far above the offered load, the MaxDelay
+// scenarioTimeTrigger: with MaxBatch far above the offered load, the MaxDelay
 // timer must dispatch the partial batch.
-func TestTimeTrigger(t *testing.T) {
-	eng := &fakeEngine{}
-	s, err := New(eng, Config{MaxBatch: 1 << 20, MaxDelay: 10 * time.Millisecond})
+func scenarioTimeTrigger(t *testing.T, kind fakeKind) {
+	s, err := New(&fakeEngine{kind: kind}, Config{MaxBatch: 1 << 20, MaxDelay: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +250,193 @@ func TestTimeTrigger(t *testing.T) {
 			}
 		case <-deadline:
 			t.Fatalf("txn %d not resolved: MaxDelay trigger did not fire", i)
+		}
+	}
+}
+
+// scenarioEarlyResolution: a batch's futures must resolve when the batch
+// becomes final — observed by the mid-gather poll — not when the former next
+// hands the engine a batch. Batch 2 here never finishes forming (MaxDelay is
+// an hour), so only that poll can resolve batch 1.
+func scenarioEarlyResolution(t *testing.T, kind fakeKind) {
+	eng := &fakeEngine{kind: kind, gate: make(chan struct{}, 16)}
+	s, err := New(eng, Config{MaxBatch: 2, MaxDelay: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	fut1, err := s.Submit(ctx, mkTxn(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(ctx, mkTxn(2)); err != nil {
+		t.Fatal(err) // completes batch 1 (size trigger); handed to the engine, gated
+	}
+	if _, err := s.Submit(ctx, mkTxn(3)); err != nil {
+		t.Fatal(err) // batch 2 starts forming and will wait ~1h for a 4th txn
+	}
+	select {
+	case <-fut1.Done():
+		t.Fatal("batch 1 resolved before the engine was allowed to finish it")
+	case <-time.After(20 * time.Millisecond):
+	}
+	eng.gate <- struct{}{} // batch 1 becomes final while batch 2 is mid-gather
+	select {
+	case <-fut1.Done():
+		if out := fut1.Outcome(); !out.Committed || out.Batch != 1 {
+			t.Fatalf("batch 1 outcome %+v, want committed in batch 1", out)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("batch 1 futures not resolved at commit: early resolution (mid-gather poll) broken")
+	}
+	eng.gate <- struct{}{} // release batch 2 (dispatched by Close's drain)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scenarioEngineFailure: an engine error must resolve the failing batch's
+// futures with it, poison subsequent submissions, and surface from Close.
+func scenarioEngineFailure(t *testing.T, kind fakeKind) {
+	boom := fmt.Errorf("disk on fire")
+	s, err := New(&fakeEngine{kind: kind, execErr: boom}, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fut, err := s.Submit(context.Background(), mkTxn(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := fut.Outcome(); !errors.Is(out.Err, boom) {
+		t.Fatalf("outcome err = %v, want %v", out.Err, boom)
+	}
+	// Eventually Submit itself rejects with the terminal error.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, err := s.Submit(context.Background(), mkTxn(2))
+		if errors.Is(err, boom) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("submit after failure: %v, want %v", err, boom)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Submit never started rejecting after engine failure")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close = %v, want %v", err, boom)
+	}
+}
+
+// scenarioCloseMidFlightDrains: Close must reject new submissions immediately
+// but wait for every accepted transaction — queued, executing or pending
+// finalization — to resolve its Future.
+func scenarioCloseMidFlightDrains(t *testing.T, kind fakeKind) {
+	eng := &fakeEngine{kind: kind, entered: make(chan struct{}, 16), gate: make(chan struct{})}
+	s, err := New(eng, Config{MaxBatch: 2, MaxDelay: time.Nanosecond, MaxPending: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var futs []*Future
+	for i := 0; i < 7; i++ {
+		fut, err := s.Submit(ctx, mkTxn(uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs = append(futs, fut)
+	}
+	<-eng.entered // a batch is held at its final point, the rest queued
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	// Close must flip rejection on promptly even while draining.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := s.Submit(ctx, mkTxn(99)); errors.Is(err, ErrClosed) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Submit never started returning ErrClosed during Close")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while a batch was still gated", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(eng.gate)
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for i, fut := range futs {
+		select {
+		case <-fut.Done():
+			if out := fut.Outcome(); !out.Committed {
+				t.Errorf("txn %d: %+v, want committed", i, out)
+			}
+		default:
+			t.Fatalf("txn %d unresolved after Close returned", i)
+		}
+	}
+}
+
+// seqLogger is a BatchLogger recording the sequence number each transaction
+// was logged under; hook, if set, runs first — on the former goroutine,
+// between numbering a batch and handing it to the engine.
+type seqLogger struct {
+	seqOf map[uint64]uint64 // txn ID -> batch seq (former goroutine; read after Close)
+	hook  func(seq uint64)
+}
+
+func (l *seqLogger) LogBatch(seq uint64, txns []*txn.Txn) error {
+	if l.hook != nil {
+		l.hook(seq)
+	}
+	for _, t := range txns {
+		l.seqOf[t.ID] = seq
+	}
+	return nil
+}
+
+// TestOutcomeBatchIsTheLoggedSeq pins Outcome.Batch to the number the batch
+// was logged under, in the schedule that used to mislabel it: over a
+// pipelined engine, batch k finishes after batch k+1 has been numbered but
+// before the former next touches the engine. Every window entry carries its
+// own seq, so the label cannot depend on the counter's value at resolution.
+func TestOutcomeBatchIsTheLoggedSeq(t *testing.T) {
+	eng := &fakeEngine{kind: fakePipe, gate: make(chan struct{}), exited: make(chan struct{}, 16)}
+	lg := &seqLogger{seqOf: map[uint64]uint64{}}
+	lg.hook = func(seq uint64) {
+		if seq > 1 {
+			eng.gate <- struct{}{} // batch seq-1 finishes now, its successor already numbered,
+			<-eng.exited           // and its result is drainable before the engine is next polled
+		}
+	}
+	s, err := New(eng, Config{MaxBatch: 2, MaxDelay: time.Hour, WAL: lg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var futs []*Future
+	for i := 0; i < 6; i++ {
+		fut, err := s.Submit(context.Background(), mkTxn(uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs = append(futs, fut)
+	}
+	for _, fut := range futs[:4] {
+		<-fut.Done() // batches 1 and 2 were released by their successors' LogBatch
+	}
+	eng.gate <- struct{}{} // batch 3 has no successor
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, fut := range futs {
+		if got, want := fut.Outcome().Batch, lg.seqOf[uint64(i)]; got != want || want != uint64(i/2+1) {
+			t.Errorf("txn %d: Outcome.Batch = %d, logged under seq %d (want %d)", i, got, want, i/2+1)
 		}
 	}
 }
@@ -226,95 +527,6 @@ func TestBackpressureBlocking(t *testing.T) {
 	}
 }
 
-// TestCloseMidFlightDrains: Close must reject new submissions immediately
-// but wait for every accepted transaction — queued or mid-execution — to
-// resolve its Future.
-func TestCloseMidFlightDrains(t *testing.T) {
-	eng := &fakeEngine{entered: make(chan struct{}, 16), gate: make(chan struct{})}
-	s, err := New(eng, Config{MaxBatch: 2, MaxDelay: time.Nanosecond, MaxPending: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	var futs []*Future
-	for i := 0; i < 7; i++ {
-		fut, err := s.Submit(ctx, mkTxn(uint64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		futs = append(futs, fut)
-	}
-	<-eng.entered // a batch is mid-execution, the rest queued
-	closed := make(chan error, 1)
-	go func() { closed <- s.Close() }()
-	// Close must flip rejection on promptly even while draining.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := s.Submit(ctx, mkTxn(99)); errors.Is(err, ErrClosed) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("Submit never started returning ErrClosed during Close")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	select {
-	case err := <-closed:
-		t.Fatalf("Close returned (%v) while a batch was still gated", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(eng.gate)
-	if err := <-closed; err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	for i, fut := range futs {
-		select {
-		case <-fut.Done():
-			if out := fut.Outcome(); !out.Committed {
-				t.Errorf("txn %d: %+v, want committed", i, out)
-			}
-		default:
-			t.Fatalf("txn %d unresolved after Close returned", i)
-		}
-	}
-}
-
-// TestEngineFailure: an engine error must resolve the failing batch's
-// futures with it, poison subsequent submissions, and surface from Close.
-func TestEngineFailure(t *testing.T) {
-	boom := fmt.Errorf("disk on fire")
-	eng := &fakeEngine{execErr: boom}
-	s, err := New(eng, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fut, err := s.Submit(context.Background(), mkTxn(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := fut.Outcome(); !errors.Is(out.Err, boom) {
-		t.Fatalf("outcome err = %v, want %v", out.Err, boom)
-	}
-	// Eventually Submit itself rejects with the terminal error.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, err := s.Submit(context.Background(), mkTxn(2))
-		if errors.Is(err, boom) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("submit after failure: %v, want %v", err, boom)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("Submit never started rejecting after engine failure")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := s.Close(); !errors.Is(err, boom) {
-		t.Fatalf("Close = %v, want %v", err, boom)
-	}
-}
-
 // TestVerdictsAndSessions: logic aborts must come back as Aborted outcomes,
 // and per-session accounting must match.
 func TestVerdictsAndSessions(t *testing.T) {
@@ -361,90 +573,6 @@ func TestVerdictsAndSessions(t *testing.T) {
 	}
 	if snap.P999 < snap.P50 {
 		t.Errorf("p999 %v < p50 %v", snap.P999, snap.P50)
-	}
-}
-
-// fakePipeEngine adds a controllable Submit/Drain/TryDrain driver: each
-// submitted batch executes on a background goroutine gated by execGate.
-type fakePipeEngine struct {
-	fakeEngine
-	inflight chan error
-	execGate chan struct{}
-}
-
-func (f *fakePipeEngine) Pipelined() bool { return true }
-
-func (f *fakePipeEngine) Submit(txns []*txn.Txn) error {
-	if err := f.Drain(); err != nil {
-		return err
-	}
-	ch := make(chan error, 1)
-	f.inflight = ch
-	go func() { <-f.execGate; ch <- f.fakeEngine.ExecBatch(txns) }()
-	return nil
-}
-
-func (f *fakePipeEngine) Drain() error {
-	if f.inflight == nil {
-		return nil
-	}
-	err := <-f.inflight
-	f.inflight = nil
-	return err
-}
-
-func (f *fakePipeEngine) TryDrain() (bool, error) {
-	if f.inflight == nil {
-		return true, nil
-	}
-	select {
-	case err := <-f.inflight:
-		f.inflight = nil
-		return true, err
-	default:
-		return false, nil
-	}
-}
-
-// TestPipelinedEarlyResolution: with a pipelined engine, a batch's futures
-// must resolve when the batch commits — observed mid-gather via TryDrain —
-// not when the former next calls Submit. Batch 2 here never finishes
-// forming (MaxDelay is an hour), so only the commit-time poll can resolve
-// batch 1.
-func TestPipelinedEarlyResolution(t *testing.T) {
-	eng := &fakePipeEngine{execGate: make(chan struct{}, 16)}
-	s, err := New(eng, Config{MaxBatch: 2, MaxDelay: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	fut1, err := s.Submit(ctx, mkTxn(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Submit(ctx, mkTxn(2)); err != nil {
-		t.Fatal(err) // completes batch 1 (size trigger); Submit launched, gated
-	}
-	if _, err := s.Submit(ctx, mkTxn(3)); err != nil {
-		t.Fatal(err) // batch 2 starts forming and will wait ~1h for a 4th txn
-	}
-	select {
-	case <-fut1.Done():
-		t.Fatal("batch 1 resolved before its execution was released")
-	case <-time.After(20 * time.Millisecond):
-	}
-	eng.execGate <- struct{}{} // batch 1 commits while batch 2 is mid-gather
-	select {
-	case <-fut1.Done():
-		if out := fut1.Outcome(); !out.Committed {
-			t.Fatalf("batch 1 outcome %+v, want committed", out)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("batch 1 futures not resolved at commit: early resolution (TryDrain poll) broken")
-	}
-	eng.execGate <- struct{}{} // release batch 2 (dispatched by Close's drain)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

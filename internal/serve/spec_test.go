@@ -2,84 +2,37 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"github.com/exploratory-systems/qotp/internal/core"
-	"github.com/exploratory-systems/qotp/internal/metrics"
 	"github.com/exploratory-systems/qotp/internal/storage"
-	"github.com/exploratory-systems/qotp/internal/txn"
 	"github.com/exploratory-systems/qotp/internal/workload/ycsb"
 )
-
-// fakeSpecEngine is a controllable engine.Speculator: every submitted batch
-// drains immediately with all-committed speculative verdicts and stays
-// pending; finalization — gated on finalizeGate when non-nil — flips every
-// flipNth transaction (1-based) of the pending batch to aborted, modelling a
-// cross-batch cascade retracting speculative acks.
-type fakeSpecEngine struct {
-	stats   metrics.Stats
-	drained uint64
-	final   uint64
-	pending []*txn.Txn
-	flipNth int
-	// finalizeGate, when non-nil, blocks Finalize until it receives a token
-	// — letting a test hold the window open while clients inspect the
-	// speculative ack.
-	finalizeGate chan struct{}
-}
-
-func (f *fakeSpecEngine) Name() string                 { return "fake-spec" }
-func (f *fakeSpecEngine) Stats() *metrics.Stats        { return &f.stats }
-func (f *fakeSpecEngine) Close()                       {}
-func (f *fakeSpecEngine) Pipelined() bool              { return true }
-func (f *fakeSpecEngine) Speculating() bool            { return true }
-func (f *fakeSpecEngine) Drain() error                 { return nil }
-func (f *fakeSpecEngine) TryDrain() (bool, error)      { return true, nil }
-func (f *fakeSpecEngine) WaitDrained()                 {}
-func (f *fakeSpecEngine) SpecStatus() (uint64, uint64) { return f.drained, f.final }
-func (f *fakeSpecEngine) ExecBatch(t []*txn.Txn) error {
-	panic("speculating engine must be driven via Submit")
-}
-
-func (f *fakeSpecEngine) Submit(txns []*txn.Txn) error {
-	if err := f.finalizePending(); err != nil {
-		return err
-	}
-	f.drained++
-	f.pending = txns
-	return nil
-}
-
-func (f *fakeSpecEngine) Finalize() error {
-	if f.finalizeGate != nil && f.pending != nil {
-		<-f.finalizeGate
-	}
-	return f.finalizePending()
-}
-
-func (f *fakeSpecEngine) finalizePending() error {
-	if f.pending == nil {
-		return nil
-	}
-	if f.flipNth > 0 {
-		for i, t := range f.pending {
-			if (i+1)%f.flipNth == 0 {
-				t.MarkAborted()
-			}
-		}
-	}
-	f.pending = nil
-	f.final++
-	return nil
-}
 
 // TestSpeculativeAckThenRetraction: a client that opted into speculative
 // acks must observe the provisional outcome strictly before the final one,
 // and when the verdict fixpoint flips the verdict, the final outcome must
 // arrive with Retracted reporting the contradiction.
+//
+// The aged case is the stale-watermark regression: an engine that ran batches
+// before the server existed (warm-up, replay) reports lifetime watermarks, and
+// a window numbered from zero would read the first served batches as final
+// the instant Submit returned — Done with Speculative=false while the
+// fixpoint is still blocked.
 func TestSpeculativeAckThenRetraction(t *testing.T) {
-	eng := &fakeSpecEngine{flipNth: 1, finalizeGate: make(chan struct{})}
+	for _, ran := range []uint64{0, 3} {
+		t.Run(fmt.Sprintf("engine-ran-%d-batches", ran), func(t *testing.T) {
+			testSpeculativeAckThenRetraction(t, ran)
+		})
+	}
+}
+
+func testSpeculativeAckThenRetraction(t *testing.T, ran uint64) {
+	// The speculative fake drains with every verdict committed and applies
+	// abortNth at finalization: every ack is retracted.
+	eng := &fakeEngine{kind: fakeSpec, drained: ran, final: ran, abortNth: 1, gate: make(chan struct{})}
 	s, err := New(eng, Config{MaxBatch: 1, MaxDelay: -1, SpeculativeAcks: true})
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +65,7 @@ func TestSpeculativeAckThenRetraction(t *testing.T) {
 		t.Fatal("retracted before finalization")
 	}
 
-	close(eng.finalizeGate)
+	close(eng.gate)
 	out := fut.Outcome()
 	if out.Speculative {
 		t.Error("final outcome still marked speculative")
@@ -135,7 +88,7 @@ func TestSpeculativeAckThenRetraction(t *testing.T) {
 // speculative verdict — must resolve both channels with consistent outcomes
 // and no retraction.
 func TestSpeculativeAckConfirmed(t *testing.T) {
-	eng := &fakeSpecEngine{} // no flips: finalization confirms every verdict
+	eng := &fakeEngine{kind: fakeSpec} // no aborts: finalization confirms every verdict
 	s, err := New(eng, Config{MaxBatch: 1, MaxDelay: -1, SpeculativeAcks: true})
 	if err != nil {
 		t.Fatal(err)

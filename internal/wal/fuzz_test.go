@@ -12,13 +12,13 @@ import (
 //
 //  1. Arbitrary bytes never panic or over-allocate — every record either
 //     decodes or fails with an error, and the stream always terminates.
-//  2. Torn-tail exactness: any prefix of a valid Log-written stream replays
+//  2. Torn-tail exactness: any prefix of a valid record stream replays
 //     exactly the records whose frames fit the prefix whole — the frame-end
 //     offsets are the only valid cut points that preserve a record.
 func FuzzReplay(f *testing.F) {
 	gen := ycsb.MustNew(ycsbCfg(2))
-	var valid bytes.Buffer
-	l := New(&valid)
+	var valid streamLog
+	l := &valid
 	var frameEnds []int
 	for e := uint64(0); e < 3; e++ {
 		if err := l.LogBatch(e, gen.NextBatch(8)); err != nil {

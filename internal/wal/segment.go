@@ -47,6 +47,17 @@ func (p SyncPolicy) String() string {
 	return fmt.Sprintf("SyncPolicy(%d)", uint8(p))
 }
 
+// ParseSyncPolicy is the inverse of SyncPolicy.String: the textual forms
+// used by qotpd's -walsync and the bench specs' WALSync.
+func ParseSyncPolicy(s string) (SyncPolicy, error) {
+	for p := SyncEachBatch; p <= SyncOff; p++ {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("wal: unknown sync policy %q (want each, group or off)", s)
+}
+
 // Options tunes the segmented Writer.
 type Options struct {
 	// SegmentBytes rotates to a new segment file once the current one reaches
@@ -475,7 +486,7 @@ func (w *Writer) poison(err error) error {
 }
 
 // LogBatch implements the BatchLogger hook: it appends the batch input
-// (framed exactly like the legacy single-stream Log) to the tail segment,
+// (one record frame, see the package comment) to the tail segment,
 // rotating on the size/epoch triggers and fsyncing per policy, before the
 // engine commits the batch.
 func (w *Writer) LogBatch(epoch uint64, txns []*txn.Txn) error {

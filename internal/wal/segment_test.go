@@ -231,11 +231,14 @@ func TestEpochGapStopsRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := ycsb.MustNew(ycsbCfg(2))
-	l := New(f)
+	var l streamLog
 	for _, e := range []uint64{0, 1, 3} { // gap: 2 is missing
 		if err := l.LogBatch(e, gen.NextBatch(5)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := f.Write(l.Bytes()); err != nil {
+		t.Fatal(err)
 	}
 	f.Sync()
 	gen2 := ycsb.MustNew(ycsbCfg(2))

@@ -33,32 +33,6 @@ const (
 // smaller.
 const MaxRecordBytes = 1 << 26
 
-// Log appends batch records to an io.Writer. Not safe for concurrent use;
-// the engines log from the single commit path.
-type Log struct {
-	w   io.Writer
-	buf []byte
-}
-
-// New creates a command log writing to w.
-func New(w io.Writer) *Log { return &Log{w: w} }
-
-// LogBatch implements the engine BatchLogger hook: it durably appends the
-// batch input before the engine commits it.
-func (l *Log) LogBatch(epoch uint64, txns []*txn.Txn) error {
-	payload := txn.AppendBatch(nil, txns)
-	l.buf = l.buf[:0]
-	l.buf = binary.LittleEndian.AppendUint32(l.buf, magic)
-	l.buf = binary.LittleEndian.AppendUint64(l.buf, epoch)
-	l.buf = binary.LittleEndian.AppendUint32(l.buf, uint32(len(payload)))
-	l.buf = binary.LittleEndian.AppendUint32(l.buf, crc32.ChecksumIEEE(payload))
-	l.buf = append(l.buf, payload...)
-	if _, err := l.w.Write(l.buf); err != nil {
-		return fmt.Errorf("wal: append epoch %d: %w", epoch, err)
-	}
-	return nil
-}
-
 // ErrCorrupt reports a checksum or framing failure during replay; recovery
 // treats it as the end of the usable log (a torn tail write).
 var ErrCorrupt = errors.New("wal: corrupt record")

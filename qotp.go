@@ -33,18 +33,12 @@ import (
 	"fmt"
 	"net"
 
-	"github.com/exploratory-systems/qotp/internal/calvin"
 	"github.com/exploratory-systems/qotp/internal/core"
 	"github.com/exploratory-systems/qotp/internal/engine"
-	"github.com/exploratory-systems/qotp/internal/hstore"
 	"github.com/exploratory-systems/qotp/internal/metrics"
-	"github.com/exploratory-systems/qotp/internal/mvto"
 	"github.com/exploratory-systems/qotp/internal/obs"
 	"github.com/exploratory-systems/qotp/internal/serve"
-	"github.com/exploratory-systems/qotp/internal/silo"
 	"github.com/exploratory-systems/qotp/internal/storage"
-	"github.com/exploratory-systems/qotp/internal/tictoc"
-	"github.com/exploratory-systems/qotp/internal/twopl"
 	"github.com/exploratory-systems/qotp/internal/txn"
 	"github.com/exploratory-systems/qotp/internal/wal"
 	"github.com/exploratory-systems/qotp/internal/workload"
@@ -314,44 +308,21 @@ func NewQueCC(db *DB, opts QueCCOptions) (Engine, error) {
 
 // Protocols lists the centralized protocol names accepted by New.
 func Protocols() []string {
-	return []string{
-		"quecc", "quecc-cons", "quecc-rc", "quecc-pipe", "quecc-spec",
-		"hstore", "calvin",
-		"2pl-nowait", "2pl-waitdie", "silo", "tictoc", "mvto",
+	names := make([]string, len(engine.Protocols))
+	for i, p := range engine.Protocols {
+		names[i] = p.Name
 	}
+	return names
 }
 
 // New constructs a centralized engine by protocol name with `threads`
 // workers (for the queue engine: 2 planners and `threads` executors).
 func New(name string, db *DB, threads int) (Engine, error) {
-	switch name {
-	case "quecc":
-		return NewQueCC(db, QueCCOptions{Planners: 2, Executors: threads})
-	case "quecc-cons":
-		return NewQueCC(db, QueCCOptions{Planners: 2, Executors: threads, Mechanism: Conservative})
-	case "quecc-rc":
-		return NewQueCC(db, QueCCOptions{Planners: 2, Executors: threads, Isolation: ReadCommitted})
-	case "quecc-pipe":
-		return NewQueCC(db, QueCCOptions{Planners: 2, Executors: threads, Pipeline: true})
-	case "quecc-spec":
-		return NewQueCC(db, QueCCOptions{Planners: 2, Executors: threads, CrossBatch: true})
-	case "hstore":
-		return hstore.New(db, threads)
-	case "calvin":
-		return calvin.New(db, threads)
-	case "2pl-nowait":
-		return twopl.New(db, twopl.NoWait, threads)
-	case "2pl-waitdie":
-		return twopl.New(db, twopl.WaitDie, threads)
-	case "silo":
-		return silo.New(db, threads)
-	case "tictoc":
-		return tictoc.New(db, threads)
-	case "mvto":
-		return mvto.New(db, threads)
-	default:
-		return nil, fmt.Errorf("qotp: unknown protocol %q (have %v)", name, Protocols())
+	p, err := engine.Lookup(name)
+	if err != nil {
+		return nil, fmt.Errorf("qotp: %w (have %v)", err, Protocols())
 	}
+	return p.New(db, 2, threads, nil)
 }
 
 // NewYCSB constructs the YCSB workload generator.
