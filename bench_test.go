@@ -1,8 +1,8 @@
 // Root benchmark suite: one testing.B benchmark per paper artifact (Table 2
-// rows 1–3 and the extended figures E4–E12 — DESIGN.md §6 maps each to the
-// paper). Every benchmark reports committed transactions per second via
-// b.ReportMetric("txns/s"); shapes (ratios between engines), not absolute
-// numbers, are the reproduction target.
+// rows 1–3 and the extended figures E4–E12 — each Experiment's Artifact names
+// the table or figure it regenerates). Every benchmark reports committed
+// transactions per second via b.ReportMetric("txns/s"); shapes (ratios
+// between engines), not absolute numbers, are the reproduction target.
 //
 // Run everything:  go test -bench=. -benchmem
 // One experiment:  go test -bench=BenchmarkTable2Row3
@@ -10,7 +10,6 @@
 package qotp
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/exploratory-systems/qotp/internal/bench"
@@ -99,20 +98,6 @@ func BenchmarkE11_Latency(b *testing.B) { runSpecs(b, findExp(b, "E11").Specs) }
 // cost of 2PC under injected network latency.
 func BenchmarkE12_DistScaling(b *testing.B) { runSpecs(b, findExp(b, "E12").Specs) }
 
-// BenchmarkE14_Pipeline — pipelined vs serial batch processing plus the
-// arena-allocation ablation (compare the allocs/txn metric across drivers).
-func BenchmarkE14_Pipeline(b *testing.B) { runSpecs(b, findExp(b, "E14").Specs) }
-
-// BenchmarkE15_DistPipeline — distributed serial vs pipelined leader
-// (QueCC-D/Calvin-D; plan/encode of batch k+1 hidden under the cluster's
-// execution and message latency of batch k).
-func BenchmarkE15_DistPipeline(b *testing.B) { runSpecs(b, findExp(b, "E15").Specs) }
-
-// BenchmarkE17_Speculation — cross-batch speculative execution vs pipelined
-// vs serial closed-loop latency under an abort-rate sweep, plus the
-// distributed deferred-ack variant (message count must match quecc-d).
-func BenchmarkE17_Speculation(b *testing.B) { runSpecs(b, findExp(b, "E17").Specs) }
-
 // TestDistTPCCInsertAllocs pins the row-slab win in storage.Table.Insert: the
 // distributed TPC-C hot path creates NewOrder/Order/OrderLine rows on every
 // transaction, and before slab allocation those inserts dominated the
@@ -197,5 +182,4 @@ func BenchmarkEngineMicro(b *testing.B) {
 			}
 		})
 	}
-	_ = fmt.Sprintf
 }

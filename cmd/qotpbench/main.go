@@ -1,16 +1,14 @@
-// Command qotpbench runs the paper-reproduction experiments (E1–E21: E1–E15 mapping
-// to Table 2 and the extended figures — see DESIGN.md §6) and prints
-// paper-style result tables. With -json it additionally writes a
-// machine-readable report; committed as BENCH_*.json files, those accumulate
-// the repository's performance trajectory (CI's bench-smoke job seeds it).
+// Command qotpbench runs the paper-reproduction experiments E1–E13 and prints
+// paper-style result tables; -list names the table or figure each one
+// regenerates. System-level numbers (serving path, WAL, replication) come from
+// the reference suite instead: bash benchmark/run.sh.
 //
 // Usage:
 //
 //	qotpbench -list
 //	qotpbench -experiment E3
-//	qotpbench -experiment E14 -json BENCH_pipeline.json
 //	qotpbench -all -scale 2
-//	qotpbench -experiment E14 -smoke -json out.json   # CI-sized run
+//	qotpbench -experiment E1,E2,E13 -smoke   # CI-sized run
 package main
 
 import (
@@ -25,13 +23,11 @@ import (
 
 func main() {
 	var (
-		expID    = flag.String("experiment", "", "experiment id(s) to run, comma-separated (E1..E21)")
-		all      = flag.Bool("all", false, "run every experiment")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		scale    = flag.Int("scale", 1, "workload scale multiplier (batches x batch size)")
-		smoke    = flag.Bool("smoke", false, "tiny CI-sized scale (overrides -scale)")
-		jsonPath = flag.String("json", "", "also write a machine-readable report to this file")
-		note     = flag.String("note", "", "free-form note recorded in the JSON report (e.g. machine caveats)")
+		expID = flag.String("experiment", "", "experiment id(s) to run, comma-separated (E1..E13)")
+		all   = flag.Bool("all", false, "run every experiment")
+		list  = flag.Bool("list", false, "list experiments and exit")
+		scale = flag.Int("scale", 1, "workload scale multiplier (batches x batch size)")
+		smoke = flag.Bool("smoke", false, "tiny CI-sized scale (overrides -scale)")
 	)
 	flag.Parse()
 
@@ -44,21 +40,13 @@ func main() {
 		sc.Threads = runtime.GOMAXPROCS(0) * 4
 	}
 
-	var report *bench.JSONReport
-	if *jsonPath != "" {
-		report = bench.NewJSONReport(sc)
-		report.Note = *note
-	}
 	runOne := func(e bench.Experiment) {
-		table, results, err := bench.RunExperiment(e)
+		table, err := bench.RunExperiment(e)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qotpbench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 		fmt.Println(table)
-		if report != nil {
-			report.Add(e, results)
-		}
 	}
 
 	switch {
@@ -66,7 +54,6 @@ func main() {
 		for _, e := range bench.Experiments(sc) {
 			fmt.Printf("%-4s %s\n     expectation: %s\n", e.ID, e.Artifact, e.Expect)
 		}
-		return
 	case *all:
 		for _, e := range bench.Experiments(sc) {
 			runOne(e)
@@ -83,13 +70,5 @@ func main() {
 	default:
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if report != nil {
-		if err := report.WriteFile(*jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "qotpbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
 	}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -28,12 +27,12 @@ type Scale struct {
 // DefaultScale targets a laptop-class run (~seconds per experiment).
 var DefaultScale = Scale{Batches: 6, BatchSize: 2000, YCSBRecs: 1 << 16, Threads: 4}
 
-// SmokeScale is the CI bench-smoke size: small enough that one experiment
-// finishes in seconds on a shared runner, while still committing thousands of
-// transactions per spec so the JSON trajectory is non-degenerate.
+// SmokeScale is the CI size: small enough that one experiment finishes in
+// seconds on a shared runner, while still committing thousands of
+// transactions per spec.
 var SmokeScale = Scale{Batches: 3, BatchSize: 500, YCSBRecs: 1 << 13, Threads: 2}
 
-// Experiments returns the full registry (E1–E21), sized by sc.
+// Experiments returns the full registry (E1–E13), sized by sc.
 func Experiments(sc Scale) []Experiment {
 	ycsbBase := func(theta, mpRatio float64, mpCount, ops int, readRatio float64) Spec {
 		s := Spec{
@@ -284,351 +283,30 @@ func Experiments(sc Scale) []Experiment {
 		Specs:    e13,
 	})
 
-	// E14 — pipelining and hot-path allocation ablation. Three drivers over
-	// the same YCSB stream: the pre-PR hot path (serial, per-txn heap
-	// allocation), the arena hot path (serial), and the pipelined driver
-	// (arena + planning of batch k+1 overlapped with execution of batch k).
-	// allocs/txn isolates the arena win; txn/s isolates the pipelining win
-	// (which needs >= 2 cores to show — on one core the phases time-share).
-	// The TPC-C pair repeats the allocation comparison on a Table-2 workload.
-	var e14 []NamedSpec
-	for _, wl := range []struct {
-		tag   string
-		theta float64
-	}{{"uniform", 0}, {"theta=0.9", 0.9}} {
-		s := ycsbBase(wl.theta, 0, 1, 10, 0.5)
-		noArena := s
-		noArena.NoArena = true
-		e14 = append(e14,
-			NamedSpec{fmt.Sprintf("serial-noarena/%s", wl.tag), with(noArena, "quecc")},
-			NamedSpec{fmt.Sprintf("serial-arena/%s", wl.tag), with(s, "quecc")},
-			NamedSpec{fmt.Sprintf("pipelined/%s", wl.tag), with(s, "quecc-pipe")},
-		)
-	}
-	t14 := tpccBase(4)
-	t14noArena := t14
-	t14noArena.NoArena = true
-	e14 = append(e14,
-		NamedSpec{"serial-noarena/tpcc", with(t14noArena, "quecc")},
-		NamedSpec{"serial-arena/tpcc", with(t14, "quecc")},
-		NamedSpec{"pipelined/tpcc", with(t14, "quecc-pipe")},
-	)
-	exps = append(exps, Experiment{
-		ID:       "E14",
-		Artifact: "Pipelined vs serial batches + allocation ablation (paper §3: planners overlap executors)",
-		Expect:   "arena cuts allocs/txn severalfold; pipelined txn/s >= serial (gain needs multicore)",
-		Specs:    e14,
-	})
-
-	// E15 — distributed leader pipelining (the HA follow-up's speculative
-	// pipelining, one layer above E14): serial vs pipelined leader on
-	// QueCC-D (YCSB, and TPC-C with cross-node order lines) over 2 and 4
-	// nodes with 200us hops, plus a Calvin-D pair. The pipelined leader
-	// plans and encodes batch k+1 while the cluster executes and
-	// verdict-repairs batch k, so plan+encode time hides under execution
-	// *and message latency* — unlike E14, the win does not need a second
-	// core, only a cluster that is busy while the leader would otherwise
-	// sit in the planner. allocs/txn doubles as the hot-path gauge for the
-	// follower decode arenas and the TPC-C ring-buffer shadow state.
-	var e15 []NamedSpec
-	hop := 200 * time.Microsecond
-	for _, nodes := range []int{2, 4} {
-		y := ycsbBase(0, 0.2, 2, 10, 0.5)
-		y.BatchSize = sc.BatchSize / 2
-		tp := tpccBase(8)
-		tp.TPCC.RemoteStockProb = 0.1
-		e15 = append(e15,
-			NamedSpec{fmt.Sprintf("quecc-d/ycsb/n=%d", nodes), dist(y, "quecc-d", nodes, hop)},
-			NamedSpec{fmt.Sprintf("quecc-d-pipe/ycsb/n=%d", nodes), dist(y, "quecc-d-pipe", nodes, hop)},
-			NamedSpec{fmt.Sprintf("quecc-d/tpcc/n=%d", nodes), dist(tp, "quecc-d", nodes, hop)},
-			NamedSpec{fmt.Sprintf("quecc-d-pipe/tpcc/n=%d", nodes), dist(tp, "quecc-d-pipe", nodes, hop)},
-		)
-	}
-	cv := ycsbBase(0, 0.2, 2, 10, 0.5)
-	cv.BatchSize = sc.BatchSize / 2
-	e15 = append(e15,
-		NamedSpec{"calvin-d/ycsb/n=4", dist(cv, "calvin-d", 4, hop)},
-		NamedSpec{"calvin-d-pipe/ycsb/n=4", dist(cv, "calvin-d-pipe", 4, hop)},
-	)
-	exps = append(exps, Experiment{
-		ID:       "E15",
-		Artifact: "Distributed serial vs pipelined leader (QueCC-D/Calvin-D, 2-4 nodes, 200us hops)",
-		Expect:   "pipelined leader >= serial (plan/encode hidden under cluster rounds); identical msgs/txn; allocs/txn near zero on the deterministic engines",
-		Specs:    e15,
-	})
-
-	// E16 — the serving path (closed vs open loop): N concurrent client
-	// goroutines submit single transactions through the batch former
-	// (serve.Server) instead of the batch harness. Latency is measured per
-	// transaction from enqueue to its batch's commit — the number the batch
-	// driver cannot produce (ObserveN gives every transaction in a batch the
-	// same commit-point latency; the batch-harness row is kept as that
-	// baseline). The closed loop gates each client's next submission on its
-	// previous outcome (latency ~= one group-commit cycle); the open loop
-	// submits continuously against the bounded queue, so p99/p999 expose
-	// queueing delay on top of the forming delay. The quecc-pipe rows form
-	// batch k+1 while batch k executes; the distributed rows put the former
-	// in front of the QueCC-D leader with 200us message hops.
-	mkClient := func(clients int, open bool) func(Spec) Spec {
-		return func(s Spec) Spec {
-			s.Clients = clients
-			s.OpenLoop = open
-			s.ClientMaxBatch = sc.BatchSize
-			s.ClientMaxDelay = time.Millisecond
-			return s
-		}
-	}
-	e16 := ycsbBase(0.6, 0, 1, 8, 0.5)
-	e16d := ycsbBase(0.6, 0.2, 2, 8, 0.5)
-	e16d.BatchSize = sc.BatchSize / 2
-	exps = append(exps, Experiment{
-		ID:       "E16",
-		Artifact: "Serving path: group-commit client API, open vs closed loop (per-txn p50/p99/p999)",
-		Expect:   "closed-loop p50 ~= one group-commit cycle; open loop adds queueing tail; batch-harness latency stays flat across its batch",
-		Specs: []NamedSpec{
-			{"batch-harness/quecc", with(e16, "quecc")},
-			{"closed/c=4/quecc", mkClient(4, false)(with(e16, "quecc"))},
-			{"closed/c=32/quecc", mkClient(32, false)(with(e16, "quecc"))},
-			{"open/c=32/quecc", mkClient(32, true)(with(e16, "quecc"))},
-			{"closed/c=32/quecc-pipe", mkClient(32, false)(with(e16, "quecc-pipe"))},
-			{"open/c=32/quecc-pipe", mkClient(32, true)(with(e16, "quecc-pipe"))},
-			{"closed/c=32/quecc-d/n=2", mkClient(32, false)(dist(e16d, "quecc-d", 2, 200*time.Microsecond))},
-			{"open/c=32/quecc-d-pipe/n=2", mkClient(32, true)(dist(e16d, "quecc-d-pipe", 2, 200*time.Microsecond))},
-		},
-	})
-
-	// E17 — cross-batch speculation and early client acks (the HA follow-up
-	// paper's speculative execution, completing E14–E16's pipeline story).
-	// Closed-loop clients (c=512) over serial quecc, quecc-pipe, and
-	// quecc-spec with SpeculativeAcks across an abort-rate sweep: the spec
-	// rows' latency is time-to-first-(provisional)-ack, which lands before
-	// the verdict fixpoint instead of after it, so at low abort rates
-	// quecc-spec's p50 undercuts quecc-pipe's group-commit cycle; as the
-	// abort rate rises, cross-batch cascades force serial re-execution and
-	// the advantage shrinks — the cascade cost curve. The distributed pair
-	// compares quecc-d against the deferred-ack speculative leader
-	// (quecc-d-spec) under 200us hops; their msgs/txn must be identical
-	// (deferred acks move the collection point, never the traffic — CI pins
-	// the equality on the JSON output).
-	// Client shape: enough closed-loop clients that a formed batch carries a
-	// repair phase worth hiding (the win *is* the fixpoint time), and a
-	// forming window short enough that the log-linear histogram can resolve
-	// it — with MaxDelay at 1ms the group-commit cycle drowns the repair in
-	// one percentile bucket.
-	var e17 []NamedSpec
-	specClient := func(s Spec) Spec {
-		s.Clients = 512
-		s.ClientMaxBatch = 512
-		s.ClientMaxDelay = 100 * time.Microsecond
-		return s
-	}
-	for _, ab := range []float64{0.01, 0.05, 0.2} {
-		s := ycsbBase(0.6, 0, 1, 16, 0.5)
-		s.YCSB.AbortRatio = ab
-		specAck := specClient(s)
-		specAck.SpeculativeAcks = true
-		e17 = append(e17,
-			NamedSpec{fmt.Sprintf("closed/c=512/quecc/ab=%.2f", ab), specClient(with(s, "quecc"))},
-			NamedSpec{fmt.Sprintf("closed/c=512/quecc-pipe/ab=%.2f", ab), specClient(with(s, "quecc-pipe"))},
-			NamedSpec{fmt.Sprintf("closed/c=512/quecc-spec/ab=%.2f", ab), with(specAck, "quecc-spec")},
-		)
-	}
-	e17d := ycsbBase(0.6, 0.2, 2, 10, 0.5)
-	e17d.BatchSize = sc.BatchSize / 2
-	e17 = append(e17,
-		NamedSpec{"quecc-d/n=2", dist(e17d, "quecc-d", 2, 200*time.Microsecond)},
-		NamedSpec{"quecc-d-spec/n=2", dist(e17d, "quecc-d-spec", 2, 200*time.Microsecond)},
-	)
-	exps = append(exps, Experiment{
-		ID:       "E17",
-		Artifact: "Cross-batch speculation: early acks vs pipelined vs serial (abort-rate sweep) + deferred-ack leader",
-		Expect:   "quecc-spec closed-loop p50 < quecc-pipe at low abort rates; gap narrows as aborts rise; quecc-d-spec msgs/txn == quecc-d",
-		Specs:    e17,
-	})
-
-	// E18 — WAL sync-policy overhead (the durability subsystem's price tag).
-	// Closed-loop clients over serial quecc with the serving-path WAL
-	// (serve.Config.WAL: each formed batch is logged before dispatch) across
-	// the sync-policy ladder — none / off (page cache) / group (one fsync per
-	// 8 batches) / each (fsync per batch) — on YCSB and TPC-C. Because the
-	// engines are deterministic, the log carries batch *inputs* only, so the
-	// entire durability cost is framing+CRC (off) plus the fsync schedule
-	// (group, each): Gray's queues-are-databases argument priced in txn/s.
-	var e18 []NamedSpec
-	walClient := func(s Spec, sync string) Spec {
-		s.Clients = 32
-		s.WALSync = sync
-		return s
-	}
-	e18y := ycsbBase(0.6, 0, 1, 16, 0.5)
-	e18t := tpccBase(2)
-	for _, sync := range []string{"", "off", "group", "each"} {
-		tag := sync
-		if tag == "" {
-			tag = "none"
-		}
-		e18 = append(e18,
-			NamedSpec{fmt.Sprintf("closed/c=32/ycsb/quecc/wal=%s", tag), walClient(with(e18y, "quecc"), sync)},
-			NamedSpec{fmt.Sprintf("closed/c=32/tpcc/quecc/wal=%s", tag), walClient(with(e18t, "quecc"), sync)},
-		)
-	}
-	exps = append(exps, Experiment{
-		ID:       "E18",
-		Artifact: "WAL sync-policy overhead: no-WAL vs off vs group vs per-batch fsync, YCSB + TPC-C closed loop",
-		Expect:   "no-WAL >= wal=off ~ wal=group > wal=each; the deterministic input log prices durability at fsync cost only",
-		Specs:    e18,
-	})
-
-	// E19 — replication ladder (the HA subsystem's price tag). Closed-loop
-	// clients over serial quecc with the leader's queue log streamed to two
-	// standby followers (internal/repl), on YCSB and TPC-C: none (bare
-	// group-synced WAL baseline) vs async (stream, never wait) vs k=1 vs k=2
-	// (each commit gates on that many follower acks). Deterministic engines
-	// replicate by shipping batch *inputs* — the same records the WAL holds —
-	// so the ladder prices exactly the streaming fan-out (async, off the
-	// commit path) and the ack round-trip (wait-k, on it).
-	var e19 []NamedSpec
-	replClient := func(s Spec, ack string) Spec {
-		s.Clients = 32
-		s.WALSync = "group"
-		if ack != "" {
-			s.Replicas = 2
-			s.ReplAck = ack
-		}
-		return s
-	}
-	e19y := ycsbBase(0.6, 0, 1, 16, 0.5)
-	e19t := tpccBase(2)
-	for _, ack := range []string{"", "async", "k=1", "k=2"} {
-		tag := ack
-		if tag == "" {
-			tag = "none"
-		}
-		e19 = append(e19,
-			NamedSpec{fmt.Sprintf("closed/c=32/ycsb/quecc/repl=%s", tag), replClient(with(e19y, "quecc"), ack)},
-			NamedSpec{fmt.Sprintf("closed/c=32/tpcc/quecc/repl=%s", tag), replClient(with(e19t, "quecc"), ack)},
-		)
-	}
-	exps = append(exps, Experiment{
-		ID:       "E19",
-		Artifact: "Replication ladder: no-repl vs async vs wait-for-1 vs wait-for-2 standby acks, YCSB + TPC-C closed loop",
-		Expect:   "no-repl ~ async >= k=1 >= k=2; input-log replication prices HA at the ack round-trip, not data shipping",
-		Specs:    e19,
-	})
-
-	// E20 — failover downtime & throughput dip (the HA subsystem under fire).
-	// Harness-mode quecc with its queue log replicated to three standbys over
-	// the in-process TCP loopback (real sockets + failure detector). The
-	// steady rows are the baseline on the same fabric; the leaderkill rows
-	// sever the leader's endpoint mid-run — the standbys detect, elect and
-	// promote on their own, and the batch stream resumes on the reopened log.
-	// Throughput carries the outage as a dip, and the JSON report records the
-	// measured downtime per row, across the wait-k ack ladder.
-	var e20 []NamedSpec
-	failSpec := func(s Spec, ack string, kill bool) Spec {
-		s.WALSync = "group"
-		s.ReplTCP = true
-		s.Replicas = 3
-		s.ReplAck = ack
-		if kill {
-			// The kill needs a batch after it to resume into; tiny scales
-			// (registry smoke) get a 2-batch floor.
-			s.Batches = max(sc.Batches, 2)
-			s.FailoverKillAt = s.Batches / 2
-		}
-		return s
-	}
-	e20y := ycsbBase(0.6, 0, 1, 16, 0.5)
-	for _, ack := range []string{"k=1", "k=2"} {
-		e20 = append(e20,
-			NamedSpec{fmt.Sprintf("harness/ycsb/quecc/repl=%s/steady", ack), failSpec(with(e20y, "quecc"), ack, false)},
-			NamedSpec{fmt.Sprintf("harness/ycsb/quecc/repl=%s/leaderkill", ack), failSpec(with(e20y, "quecc"), ack, true)},
-		)
-	}
-	exps = append(exps, Experiment{
-		ID:       "E20",
-		Artifact: "Failover under fire: leader killed mid-run, standbys elect and resume — downtime + throughput dip vs steady, k=1 and k=2",
-		Expect:   "leaderkill rows dip below their steady twins by roughly downtime/wall-clock; downtime stays sub-second (detector + election + reopen)",
-		Specs:    e20,
-	})
-
-	// E21 — overload: open-loop clients past saturation (the observability
-	// PR's companion experiment). 32 open-loop clients hammer a serving path
-	// whose batch former is deliberately small (ClientMaxBatch = BatchSize/4)
-	// behind a tight submission queue (ClientMaxPending = BatchSize/2). The
-	// block row is the backpressure baseline: every arrival eventually lands,
-	// submitters stall on the full queue. The shed row flips serve.Config.Block
-	// off: a full queue rejects with ErrOverloaded, the server counts the shed
-	// (qotp_serve_sheds_total on /metrics) and keeps its queue bounded — the
-	// sampled MaxQueueDepth never exceeds ClientMaxPending, and throughput
-	// holds near the baseline instead of collapsing under the excess arrivals.
-	var e21 []NamedSpec
-	overSpec := func(s Spec, shed bool) Spec {
-		s.Clients = 32
-		s.OpenLoop = true
-		s.ClientMaxBatch = max(sc.BatchSize/4, 1)
-		s.ClientMaxPending = max(sc.BatchSize/2, 1)
-		s.Shed = shed
-		return s
-	}
-	e21y := ycsbBase(0.6, 0, 1, 16, 0.5)
-	e21 = append(e21,
-		NamedSpec{"open/c=32/ycsb/quecc/block", overSpec(with(e21y, "quecc"), false)},
-		NamedSpec{"open/c=32/ycsb/quecc/shed", overSpec(with(e21y, "quecc"), true)},
-	)
-	exps = append(exps, Experiment{
-		ID:       "E21",
-		Artifact: "Overload: open-loop arrivals past saturation, blocking backpressure vs shed — queue depth bound, shed count, throughput",
-		Expect:   "shed row keeps MaxQueueDepth <= ClientMaxPending with throughput near the block baseline; excess arrivals are rejected, not queued",
-		Specs:    e21,
-	})
-
 	return exps
 }
 
 // Find returns the experiment with the given id.
 func Find(id string, sc Scale) (Experiment, error) {
-	for _, e := range Experiments(sc) {
+	exps := Experiments(sc)
+	ids := make([]string, 0, len(exps))
+	for _, e := range exps {
 		if strings.EqualFold(e.ID, id) {
 			return e, nil
 		}
-	}
-	ids := make([]string, 0)
-	for _, e := range Experiments(sc) {
 		ids = append(ids, e.ID)
 	}
-	sort.Strings(ids)
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (have %s)", id, strings.Join(ids, ", "))
 }
 
 // RunExperiment executes all specs of an experiment and renders the report.
-func RunExperiment(e Experiment) (string, []Result, error) {
+func RunExperiment(e Experiment) (string, error) {
 	results, err := RunAll(e.Specs)
 	if err != nil {
-		return "", nil, err
+		return "", err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s — %s\n   expectation: %s\n", e.ID, e.Artifact, e.Expect)
-	names := make([]string, 0, len(results))
-	for i, r := range results {
-		names = append(names, e.Specs[i].Name)
-		_ = r
-	}
-	b.WriteString(tableWithNames(names, results))
-	for i, r := range results {
-		if r.FailoverDowntime > 0 {
-			fmt.Fprintf(&b, "   %s: failover downtime %v\n", e.Specs[i].Name, r.FailoverDowntime)
-		}
-		if r.Spec.Shed {
-			fmt.Fprintf(&b, "   %s: sheds %d, max queue depth %d (bound %d)\n",
-				e.Specs[i].Name, r.Sheds, r.MaxQueueDepth, r.Spec.ClientMaxPending)
-		}
-	}
-	return b.String(), results, nil
-}
-
-func tableWithNames(names []string, results []Result) string {
-	var b strings.Builder
 	fmt.Fprintf(&b, "%-28s %14s %10s %10s %10s %12s %12s %12s %10s %11s %10s\n",
 		"config", "txn/s", "committed", "aborts", "retries", "p50", "p99", "p999", "msgs/txn", "allocs/txn", "bytes/msg")
 	for i, r := range results {
@@ -638,15 +316,8 @@ func tableWithNames(names []string, results []Result) string {
 			msgsPerTxn = float64(s.Messages) / float64(s.Committed)
 		}
 		fmt.Fprintf(&b, "%-28s %14.0f %10d %10d %10d %12v %12v %12v %10.2f %11.1f %10.0f\n",
-			names[i], s.Throughput, s.Committed, s.UserAborts, s.Retries, s.P50, s.P99, s.P999, msgsPerTxn,
+			e.Specs[i].Name, s.Throughput, s.Committed, s.UserAborts, s.Retries, s.P50, s.P99, s.P999, msgsPerTxn,
 			r.AllocsPerTxn, r.BytesPerMsg)
 	}
-	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return b.String(), nil
 }

@@ -89,6 +89,48 @@ func TestTPCCConformanceAllEngines(t *testing.T) {
 	}
 }
 
+// TestTPCCDeliveryFirstStream runs the serial reference over streams whose
+// very first transaction is a Delivery. That transaction has id 0, and the
+// order lines it delivers must still carry a nonzero delivery date — 0 means
+// undelivered — or CheckConsistency rejects a correct run.
+func TestTPCCDeliveryFirstStream(t *testing.T) {
+	const warehouses, nBatches, batchSize = 2, 4, 150
+	found := 0
+	for seed := uint64(1); seed <= 100 && found < 3; seed++ {
+		cfg := tpccTestConfig(warehouses)
+		cfg.Seed = seed
+		gen := tpcc.MustNew(cfg)
+		store := storage.MustOpen(gen.StoreConfig(warehouses))
+		if err := gen.Load(store); err != nil {
+			t.Fatal(err)
+		}
+		batch := gen.NextBatch(batchSize)
+		if batch[0].Profile != tpcc.ProfileDelivery {
+			continue
+		}
+		found++
+		eng, err := core.New(store, core.Config{Planners: 1, Executors: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < nBatches; b++ {
+			if b > 0 {
+				batch = gen.NextBatch(batchSize)
+			}
+			if err := eng.ExecBatch(batch); err != nil {
+				t.Fatalf("seed %d batch %d: %v", seed, b, err)
+			}
+		}
+		eng.Close()
+		if err := gen.CheckConsistency(store); err != nil {
+			t.Errorf("seed %d (Delivery-first stream): %v", seed, err)
+		}
+	}
+	if found == 0 {
+		t.Fatal("no seed in 1..100 starts its stream with a Delivery")
+	}
+}
+
 // TestTPCCSingleWarehouseHighContention is the Table-2-row-3 scenario at
 // test scale: one warehouse, everything fights over the same district rows.
 func TestTPCCSingleWarehouseHighContention(t *testing.T) {

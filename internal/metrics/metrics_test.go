@@ -97,8 +97,9 @@ func TestPercentileWithinBucketBound(t *testing.T) {
 }
 
 // TestLogLinearPercentilesDistinguish pins the histogram-granularity fix:
-// BENCH_pr5.json reported p50 == p99 == p999 because pure power-of-two
-// buckets collapsed a whole octave of the latency profile into one bucket.
+// serving-path runs once reported p50 == p99 == p999 because pure
+// power-of-two buckets collapsed a whole octave of the latency profile into
+// one bucket.
 // With log-linear sub-buckets, percentiles of a known bimodal distribution
 // must land near their true values and differ from each other.
 func TestLogLinearPercentilesDistinguish(t *testing.T) {

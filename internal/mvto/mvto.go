@@ -1,6 +1,7 @@
 // Package mvto implements multi-version timestamp ordering, the stand-in for
 // the multi-version non-deterministic baselines of the paper's Table 2
-// (Cicada / ERMIA family — see DESIGN.md §3 for the substitution rationale).
+// (Cicada / ERMIA family): the table compares protocol classes, so textbook
+// MVTO stands in for those systems' engineering.
 //
 // Every transaction receives a begin timestamp from a global counter. Reads
 // return the newest committed version with wts <= ts and extend that

@@ -5,10 +5,9 @@
 // benchmark behind the paper's Table 2 row 3 (1 warehouse, ~3x over the best
 // non-deterministic protocol).
 //
-// Deviations from the letter of the TPC-C specification, following the
+// Deviations from the letter of the TPC-C specification follow the
 // research-prototype conventions of the systems the paper compares against
-// (DBx1000/ExpoDB lineage), are documented in DESIGN.md §3. The load-bearing
-// ones:
+// (DBx1000/ExpoDB lineage):
 //
 //   - No terminals or think times; transactions are generated back-to-back.
 //   - Monetary amounts are fixed-point cents in uint64 fields; taxes and

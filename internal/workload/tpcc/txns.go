@@ -471,7 +471,7 @@ func (g *Workload) delivery() *txn.Txn {
 	d := g.delivD
 	sh := g.shadow[w-1][d-1]
 	carrier := uint64(1 + g.rng.Intn(10))
-	now := g.nextID
+	now := g.nextID + 1 // dates are 1-based: 0 means undelivered
 
 	t := g.arena.NewTxn()
 	districtReadOnly := func() *txn.Txn {

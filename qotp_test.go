@@ -1,6 +1,8 @@
 package qotp
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/exploratory-systems/qotp/internal/bench"
@@ -72,14 +74,35 @@ func TestTPCCCheckAPI(t *testing.T) {
 	}
 }
 
-// TestExperimentRegistry sanity-checks the harness: every registered
-// experiment runs at tiny scale and reports committed work.
+// TestExperimentRegistry pins the registry to the paper's artifacts — exactly
+// E1…E13, in order, with unique spec names within each experiment — and
+// sanity-checks the harness: every experiment runs at tiny scale and reports
+// committed work.
 func TestExperimentRegistry(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test is not short")
-	}
 	sc := bench.Scale{Batches: 1, BatchSize: 200, YCSBRecs: 1 << 12, Threads: 2}
-	for _, e := range bench.Experiments(sc) {
+	exps := bench.Experiments(sc)
+	if len(exps) != 13 {
+		t.Errorf("registry has %d experiments, want 13 (E1…E13)", len(exps))
+	}
+	for i, e := range exps {
+		if want := fmt.Sprintf("E%d", i+1); e.ID != want {
+			t.Errorf("experiment %d has ID %s, want %s", i, e.ID, want)
+		}
+		seen := make(map[string]bool, len(e.Specs))
+		for _, ns := range e.Specs {
+			if seen[ns.Name] {
+				t.Errorf("%s: duplicate spec name %q", e.ID, ns.Name)
+			}
+			seen[ns.Name] = true
+		}
+	}
+	if _, err := bench.Find("E99", sc); err == nil || !strings.Contains(err.Error(), "(have E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11, E12, E13)") {
+		t.Errorf("unknown-ID error must list the registry in order, got %v", err)
+	}
+	if testing.Short() {
+		t.Skip("experiment smoke run is not short")
+	}
+	for _, e := range exps {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			// Run only the first two specs of each experiment as a smoke
