@@ -98,7 +98,7 @@ type TCPOptions struct {
 	// instance's state.
 	Metrics *obs.Registry
 	// MetricsMesh, when non-empty, adds a mesh=<name> label to every series,
-	// so a process running several meshes (qotpd: the engine mesh and the
+	// so a process running several meshes (e.g. an engine mesh and a
 	// replication mesh) keeps their series distinct in one registry.
 	MetricsMesh string
 }
@@ -328,8 +328,8 @@ func (t *TCPTransport) registerMetrics() {
 	if t.opts.MetricsMesh != "" {
 		base = append(base, obs.L("mesh", t.opts.MetricsMesh))
 	}
-	r.GaugeUint("qotp_cluster_messages_total", "payload messages received", &t.count, base...)
-	r.GaugeUint("qotp_cluster_bytes_total", "payload bytes received", &t.bytes, base...)
+	r.GaugeUint("qotp_cluster_messages_total", "payload messages sent", &t.count, base...)
+	r.GaugeUint("qotp_cluster_bytes_total", "payload bytes sent", &t.bytes, base...)
 	r.GaugeUint("qotp_cluster_reconnects_total", "successful peer redials after a broken connection", &t.reconnects, base...)
 	for j := range t.addrs {
 		if j == t.id {

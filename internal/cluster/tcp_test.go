@@ -4,13 +4,17 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"github.com/exploratory-systems/qotp/internal/obs"
 )
 
 // TestTCPRestartReconnects kills one node's transport and restarts it on the
 // same address: peers must heal their broken connections through the bounded
-// redial backoff and deliver again, with no transport rebuild.
+// redial backoff and deliver again, with no transport rebuild. Before the
+// restart it pins the mesh-labelled traffic and liveness series.
 func TestTCPRestartReconnects(t *testing.T) {
-	lb, err := StartLoopbackTCP(2)
+	reg := obs.New()
+	lb, err := StartLoopbackTCPOpts(2, TCPOptions{Metrics: reg, MetricsMesh: "engine"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,6 +25,13 @@ func TestTCPRestartReconnects(t *testing.T) {
 	}
 	if m, ok := lb.Recv(1); !ok || m.Batch != 1 {
 		t.Fatalf("pre-restart recv: %+v ok=%v", m, ok)
+	}
+	mesh := obs.L("mesh", "engine")
+	if v, ok := reg.Value("qotp_cluster_messages_total", mesh, obs.L("node", "0")); !ok || v != 1 {
+		t.Errorf("qotp_cluster_messages_total{mesh=engine,node=0} = (%v, %v), want (1, true)", v, ok)
+	}
+	if v, ok := reg.Value("qotp_cluster_peer_state", mesh, obs.L("node", "1"), obs.L("peer", "0")); !ok || v != 1 {
+		t.Errorf("qotp_cluster_peer_state{mesh=engine,node=1,peer=0} = (%v, %v), want (1 = up, true)", v, ok)
 	}
 
 	if _, err := lb.Restart(1); err != nil {

@@ -1282,7 +1282,11 @@ func (g *group) leaderVerdictRounds(batchN int, run func([]bool) ([]uint32, erro
 	if err != nil {
 		return nil, err
 	}
-	next := mergeVerdicts(batchN, props, reports)
+	next, err := mergeVerdicts(batchN, props, reports)
+	if err != nil {
+		g.stopped.Store(true) // followers are mid-batch; the protocol cannot resume
+		return nil, err
+	}
 
 	rounds := uint64(0)
 	for !sameVerdicts(aborted, next) {
@@ -1305,7 +1309,10 @@ func (g *group) leaderVerdictRounds(batchN int, run func([]bool) ([]uint32, erro
 			return nil, err
 		}
 		if fixpoint {
-			next = mergeVerdicts(batchN, props, reports)
+			if next, err = mergeVerdicts(batchN, props, reports); err != nil {
+				g.stopped.Store(true)
+				return nil, err
+			}
 		} else {
 			// Reconnaissance mode: one suppression round, verdicts final.
 			next = aborted
@@ -1325,14 +1332,27 @@ func (g *group) leaderVerdictRounds(batchN int, run func([]bool) ([]uint32, erro
 }
 
 // mergeVerdicts unions the leader's proposals with every follower report.
-func mergeVerdicts(batchN int, props []uint32, reports []cluster.Msg) []bool {
+// Reported positions come off the wire, so one outside the batch is an error.
+func mergeVerdicts(batchN int, props []uint32, reports []cluster.Msg) ([]bool, error) {
 	v := verdictSet(batchN, props)
 	for _, m := range reports {
-		for _, pos := range m.Vals {
-			v[pos] = true
+		if err := markPositions(v, m.Vals); err != nil {
+			return nil, fmt.Errorf("dist: node %d: %w", m.From, err)
 		}
 	}
-	return v
+	return v, nil
+}
+
+// markPositions sets v[pos] for each wire-supplied position, rejecting any
+// position outside the batch.
+func markPositions(v []bool, vals []uint64) error {
+	for _, pos := range vals {
+		if pos >= uint64(len(v)) {
+			return fmt.Errorf("verdict for unknown batch position %d (batch of %d)", pos, len(v))
+		}
+		v[pos] = true
+	}
+	return nil
 }
 
 // runFollowerRound launches a follower's round execution on its own
@@ -1367,12 +1387,16 @@ func (g *group) followerVerdictMsg(n *node, m cluster.Msg, run func([]bool) ([]u
 	case cluster.MsgVars:
 		return true, n.deliverVars(m)
 	case cluster.MsgTaintSet:
+		aborted := make([]bool, n.batchN)
+		if err := markPositions(aborted, m.Vals); err != nil {
+			return true, fmt.Errorf("taint set: %w", err) // the leader prefixes the node id
+		}
 		n.execWG.Wait() // previous round finished (its report was collected)
 		n.rollback()
 		if err := n.startRound(m.Batch, n.curRound+1); err != nil {
 			return true, err
 		}
-		g.runFollowerRound(n, m.Batch, cluster.MsgTaintReport, verdictSetFromVals(n.batchN, m.Vals), run)
+		g.runFollowerRound(n, m.Batch, cluster.MsgTaintReport, aborted, run)
 		return true, nil
 	case cluster.MsgBatchCommit:
 		n.execWG.Wait()

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/exploratory-systems/qotp/internal/cluster"
@@ -352,6 +353,64 @@ func TestSkippedRemotePublisherTaints(t *testing.T) {
 			}
 			if eng.Stats().Snap(1).UserAborts == 0 {
 				t.Error("expected invalid-item aborts")
+			}
+		})
+	}
+}
+
+// badPosTransport appends an out-of-range batch position to the first message
+// of one type it carries, as a malformed or hostile peer would.
+type badPosTransport struct {
+	cluster.Transport
+	typ  cluster.MsgType
+	done atomic.Bool
+}
+
+func (b *badPosTransport) Send(m cluster.Msg) error {
+	if m.Type == b.typ && b.done.CompareAndSwap(false, true) {
+		m.Vals = append(append([]uint64(nil), m.Vals...), 1<<40)
+	}
+	return b.Transport.Send(m)
+}
+
+// TestOutOfRangeVerdictPositions: a verdict position read off the wire that
+// lies outside the batch — in a completion report, a repair-round report or
+// the leader's taint set — must fail ExecBatch with an error, never index out
+// of range and crash the process.
+func TestOutOfRangeVerdictPositions(t *testing.T) {
+	mk := func() workload.Generator {
+		return ycsb.MustNew(ycsb.Config{
+			Records: 1024, OpsPerTxn: 6, ReadRatio: 0.3, RMWRatio: 0.4,
+			Theta: 0.8, MultiPartitionRatio: 0.5, MultiPartitionCount: 3,
+			AbortRatio: 0.05, Partitions: testParts, Seed: 61,
+		})
+	}
+	for name, typ := range map[string]cluster.MsgType{
+		"batch-done":   cluster.MsgBatchDone,
+		"taint-report": cluster.MsgTaintReport,
+		"taint-set":    cluster.MsgTaintSet,
+	} {
+		t.Run(name, func(t *testing.T) {
+			inner := cluster.NewChanTransport(2, 0)
+			defer inner.Close()
+			tr := &badPosTransport{Transport: inner, typ: typ}
+			gen := mk()
+			eng, err := NewQueCCD(tr, gen, testParts, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			for b := 0; b < 3 && err == nil; b++ {
+				err = eng.ExecBatch(gen.NextBatch(150))
+			}
+			if !tr.done.Load() {
+				t.Fatal("no message of the corrupted type was sent: the batches had no repair round")
+			}
+			if err == nil || !strings.Contains(err.Error(), "unknown batch position") {
+				t.Fatalf("ExecBatch = %v, want an unknown-batch-position error", err)
+			}
+			if err := eng.ExecBatch(gen.NextBatch(150)); err == nil {
+				t.Fatal("engine accepted a batch after a protocol failure")
 			}
 		})
 	}

@@ -337,11 +337,3 @@ func toVals(positions []uint32) []uint64 {
 	}
 	return out
 }
-
-func verdictSetFromVals(batchN int, vals []uint64) []bool {
-	v := make([]bool, batchN)
-	for _, pos := range vals {
-		v[pos] = true
-	}
-	return v
-}

@@ -4,7 +4,7 @@
 //
 // The layers of the stack — serve, repl, wal, cluster, the engines — register
 // their instruments into one Registry; a scrape renders every series live, so
-// a running qotpd is no longer a black box whose numbers only exist in the
+// a running node is no longer a black box whose numbers only exist in an
 // end-of-run report. Gray's "Queues Are Databases" argument cuts both ways:
 // a queue system carrying transactional guarantees must also carry the
 // operational discipline of a DBMS, and that starts with being measurable

@@ -1,12 +1,14 @@
 package repl
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/exploratory-systems/qotp/internal/cluster"
 	"github.com/exploratory-systems/qotp/internal/obs"
+	"github.com/exploratory-systems/qotp/internal/wal"
 	"github.com/exploratory-systems/qotp/internal/workload/ycsb"
 )
 
@@ -25,7 +27,9 @@ func readyErr(reg *obs.Registry) error {
 // not-ready, and flips ready once it is live. The first half is
 // deterministic — with no leader on the transport the follower can never go
 // live; the second half restarts it against a real leader and polls for the
-// flip.
+// flip. Along the way it pins the replication and log series of one shared
+// registry: role, per-follower lag before and after catch-up, fencings, and
+// the {log=<dir>}-labelled fsync and segment series of both logs.
 func TestReadyzFollowerCatchup(t *testing.T) {
 	const parts, batchSize = 4, 32
 
@@ -52,24 +56,33 @@ func TestReadyzFollowerCatchup(t *testing.T) {
 	f.Close()
 
 	// Now a real leader with a logged backlog: the fresh follower starts in
-	// catch-up and must turn ready once the replay lands.
+	// catch-up and must turn ready once the replay lands. Leader, follower and
+	// both logs share one registry, as on a node's single /metrics page.
+	const nBatches = 4
 	tr2 := cluster.NewChanTransport(2, 0)
 	defer tr2.Close()
-	ldr, err := OpenLeader(t.TempDir(), tr2, 0, []int{1}, Options{})
+	reg2 := obs.New()
+	root := t.TempDir()
+	ldr, err := OpenLeader(filepath.Join(root, "leader"), tr2, 0, []int{1}, Options{
+		Metrics: reg2, WAL: wal.Options{Metrics: reg2},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ldr.Close()
 	gen := ycsb.MustNew(ycsbCfg(parts))
-	for i := 0; i < 4; i++ {
+	for i := 0; i < nBatches; i++ {
 		if err := ldr.LogBatch(uint64(i), gen.NextBatch(batchSize)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	reg2 := obs.New()
+	leaderL, followerL := obs.L("node", "0"), obs.L("follower", "1")
+	wantSeries(t, reg2, "qotp_repl_role", 1, leaderL)
+	wantSeries(t, reg2, "qotp_repl_follower_lag", nBatches, leaderL, followerL) // nothing acked yet
 	rep2 := newReplica(t, parts)
-	fo2 := rep2.followerOptions(t.TempDir(), nil)
+	fo2 := rep2.followerOptions(filepath.Join(root, "node1"), nil)
 	fo2.Metrics = reg2
+	fo2.WAL.Metrics = reg2
 	f2, err := StartFollower(tr2, 1, 0, fo2)
 	if err != nil {
 		t.Fatal(err)
@@ -84,6 +97,32 @@ func TestReadyzFollowerCatchup(t *testing.T) {
 	}
 	if v, ok := reg2.Value("qotp_repl_live", obs.L("node", "1")); !ok || v != 1 {
 		t.Fatalf("qotp_repl_live = (%v, %v), want (1, true)", v, ok)
+	}
+	if err := ldr.WaitCaughtUp(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	wantSeries(t, reg2, "qotp_repl_role", 0, obs.L("node", "1"))
+	wantSeries(t, reg2, "qotp_repl_follower_lag", 0, leaderL, followerL)
+	wantSeries(t, reg2, "qotp_repl_fencings_total", 0, leaderL)
+	wantSeries(t, reg2, "qotp_repl_fencings_total", 0, obs.L("node", "1"))
+	// Each log's series carry its directory's name: the leader fsynced every
+	// batch (SyncEachBatch), and both logs hold a live segment.
+	if v, ok := reg2.Value("qotp_wal_fsync_seconds_count", obs.L("log", "leader")); !ok || v < nBatches {
+		t.Errorf("qotp_wal_fsync_seconds_count{log=leader} = (%v, %v), want >= %d", v, ok, nBatches)
+	}
+	for _, log := range []string{"leader", "node1"} {
+		if v, ok := reg2.Value("qotp_wal_segments", obs.L("log", log)); !ok || v < 1 {
+			t.Errorf("qotp_wal_segments{log=%s} = (%v, %v), want >= 1", log, v, ok)
+		}
+	}
+}
+
+// wantSeries fails the test unless the registry holds the series with value
+// want.
+func wantSeries(t *testing.T, reg *obs.Registry, name string, want float64, labels ...obs.Label) {
+	t.Helper()
+	if v, ok := reg.Value(name, labels...); !ok || v != want {
+		t.Errorf("%s%v = (%v, %v), want (%v, true)", name, labels, v, ok, want)
 	}
 }
 

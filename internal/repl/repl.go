@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -54,22 +53,6 @@ const (
 	// sheds the laggards and commits with the surviving quorum).
 	AckWaitK
 )
-
-// ParseAckMode parses the textual forms used by qotpd and the bench specs:
-// "async", or "k=<n>" (wait for n follower acks).
-func ParseAckMode(s string) (AckMode, int, error) {
-	if s == "" || s == "async" {
-		return AckAsync, 0, nil
-	}
-	if rest, ok := strings.CutPrefix(s, "k="); ok {
-		k, err := strconv.Atoi(rest)
-		if err != nil || k < 1 {
-			return 0, 0, fmt.Errorf("repl: bad ack mode %q (want async or k=<n>, n >= 1)", s)
-		}
-		return AckWaitK, k, nil
-	}
-	return 0, 0, fmt.Errorf("repl: bad ack mode %q (want async or k=<n>)", s)
-}
 
 // Options tunes the Leader.
 type Options struct {

@@ -117,8 +117,8 @@ type Config struct {
 	// its instruments into: queue depth, batch fill ratio, forming latency,
 	// shed/block backpressure counts, dedup-window hits, per-session
 	// counters, and the commit/abort/latency statistics exported live. A
-	// shared registry (qotpd passes one across serve/repl/wal/cluster) yields
-	// one /metrics page for the whole node.
+	// registry shared with the other layers' configs (repl, wal, cluster)
+	// yields one /metrics page for the whole node.
 	Metrics *obs.Registry
 	// MetricsAddr, when non-empty, starts an embedded observability HTTP
 	// endpoint (obs.Serve: /healthz, /readyz, /metrics) on this address for

@@ -645,12 +645,11 @@ func TestShedAccounting(t *testing.T) {
 	if st.Submitted != 3 {
 		t.Errorf("SessionStats.Submitted = %d, want 3 (sheds must not count as accepted)", st.Submitted)
 	}
-	if v, ok := reg.Value("qotp_serve_sheds_total"); !ok || v != rejects {
-		t.Errorf("qotp_serve_sheds_total = (%v, %v), want (%d, true)", v, ok, rejects)
-	}
-	if v, ok := reg.Value("qotp_serve_session_shed_total", obs.L("session", "1")); !ok || v != rejects {
-		t.Errorf("qotp_serve_session_shed_total{session=1} = (%v, %v), want (%d, true)", v, ok, rejects)
-	}
+	wantSeries(t, reg, "qotp_serve_sheds_total", rejects)
+	wantSeries(t, reg, "qotp_serve_session_shed_total", rejects, obs.L("session", "1"))
+	// The queue is full behind the stalled batch: depth == capacity == MaxPending.
+	wantSeries(t, reg, "qotp_serve_queue_depth", 2)
+	wantSeries(t, reg, "qotp_serve_queue_capacity", 2)
 	close(eng.gate)
 	for i, fut := range append([]*Future{fut1}, futs...) {
 		if out := fut.Outcome(); !out.Committed {
@@ -659,5 +658,20 @@ func TestShedAccounting(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// After Close the series are final: the queue drained, one batch per
+	// accepted txn (MaxBatch 1), and every accepted txn committed.
+	wantSeries(t, reg, "qotp_serve_queue_depth", 0)
+	wantSeries(t, reg, "qotp_serve_batches_total", 3)
+	wantSeries(t, reg, "qotp_serve_forming_seconds_count", 3)
+	wantSeries(t, reg, "qotp_serve_committed_total", float64(st.Submitted))
+}
+
+// wantSeries fails the test unless the registry holds the series with value
+// want.
+func wantSeries(t *testing.T, reg *obs.Registry, name string, want float64, labels ...obs.Label) {
+	t.Helper()
+	if v, ok := reg.Value(name, labels...); !ok || v != want {
+		t.Errorf("%s%v = (%v, %v), want (%v, true)", name, labels, v, ok, want)
 	}
 }

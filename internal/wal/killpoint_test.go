@@ -206,7 +206,7 @@ func TestKillPointPostSnapshotPreTruncate(t *testing.T) {
 		}
 	}
 	// Every Remove the snapshot's truncation issues fails: the manifest
-	// already points at the snapshot, the dead segment files linger.
+	// already points at the snapshot, the dead segment files stay behind.
 	fs.FailRemoves(100)
 	if err := w.Snapshot(store); err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestKillPointPostSnapshotPreTruncate(t *testing.T) {
 		}
 	}
 	if orphans < 2 {
-		t.Fatalf("expected lingering pre-snapshot segments, dir has %v", names)
+		t.Fatalf("expected leftover pre-snapshot segments, dir has %v", names)
 	}
 	for i := 0; i < k2; i++ {
 		if err := eng.ExecBatch(gen.NextBatch(batchSize)); err != nil {
@@ -307,7 +307,8 @@ func TestServeWALRecovery(t *testing.T) {
 // TestQueCCDRejoinRecovers is the 2-node distributed rejoin: the leader logs
 // every batch at ship time, the cluster is killed mid-stream, and a fresh
 // cluster replays the log (ClusterStateHash == serial reference), reopens the
-// log, and finishes the stream — the killed cluster restarts mid-stream.
+// log, and finishes the stream — the killed cluster restarts mid-stream. It
+// runs over the in-process transport and over real loopback TCP sockets.
 func TestQueCCDRejoinRecovers(t *testing.T) {
 	const parts, M, k, batchSize = 4, 5, 3, 100
 	ref := refHashes(t, parts, M, batchSize)
@@ -315,14 +316,31 @@ func TestQueCCDRejoinRecovers(t *testing.T) {
 	for _, ts := range ycsb.MustNew(ycsbCfg(parts)).StoreConfig(parts).Tables {
 		tables = append(tables, ts.ID)
 	}
+	transports := []struct {
+		name  string
+		start func() (cluster.Transport, error)
+	}{
+		{"chan", func() (cluster.Transport, error) { return cluster.NewChanTransport(2, 0), nil }},
+		{"tcp", func() (cluster.Transport, error) { return cluster.StartLoopbackTCP(2) }},
+	}
+	for _, tc := range transports {
+		t.Run(tc.name, func(t *testing.T) {
+			runQueCCDRejoin(t, tc.start, parts, M, k, batchSize, tables, ref)
+		})
+	}
+}
 
+func runQueCCDRejoin(t *testing.T, start func() (cluster.Transport, error), parts, M, k, batchSize int, tables []storage.TableID, ref []uint64) {
 	fs := NewFaultFS()
 	dir := "/wal"
 	w, err := Open(dir, Options{Sync: SyncEachBatch, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := cluster.NewChanTransport(2, 0)
+	tr, err := start()
+	if err != nil {
+		t.Fatal(err)
+	}
 	gen := ycsb.MustNew(ycsbCfg(parts))
 	eng, err := dist.NewQueCCD(tr, gen, parts, 2)
 	if err != nil {
@@ -339,7 +357,10 @@ func TestQueCCDRejoinRecovers(t *testing.T) {
 	tr.Close()
 
 	// Rejoin: a fresh 2-node cluster replays the log through itself.
-	tr2 := cluster.NewChanTransport(2, 0)
+	tr2, err := start()
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer tr2.Close()
 	gen2 := ycsb.MustNew(ycsbCfg(parts))
 	eng2, err := dist.NewQueCCD(tr2, gen2, parts, 2)
@@ -379,7 +400,7 @@ func TestQueCCDRejoinRecovers(t *testing.T) {
 	if got := dist.ClusterStateHash(eng2.Stores(), tables); got != ref[M] {
 		t.Errorf("final cluster state %x != reference %x", got, ref[M])
 	}
-	if w2.NextEpoch() != M {
+	if w2.NextEpoch() != uint64(M) {
 		t.Errorf("log covers %d batches, want %d", w2.NextEpoch(), M)
 	}
 }

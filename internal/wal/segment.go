@@ -47,17 +47,6 @@ func (p SyncPolicy) String() string {
 	return fmt.Sprintf("SyncPolicy(%d)", uint8(p))
 }
 
-// ParseSyncPolicy is the inverse of SyncPolicy.String: the textual forms
-// used by qotpd's -walsync and the bench specs' WALSync.
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	for p := SyncEachBatch; p <= SyncOff; p++ {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("wal: unknown sync policy %q (want each, group or off)", s)
-}
-
 // Options tunes the segmented Writer.
 type Options struct {
 	// SegmentBytes rotates to a new segment file once the current one reaches

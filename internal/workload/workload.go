@@ -30,9 +30,8 @@ type Generator interface {
 // The chunking is load-bearing, not cosmetic: generators may be
 // batch-boundary dependent — TPC-C advances its delivery window once per
 // NextBatch call — so a driver that must offer the *same* deterministic
-// stream as a reference run (qotpd -serve verification, the bench client
-// runner) has to generate with the same chunk size the reference used, never
-// one big NextBatch.
+// stream as a reference run (qotpd -serve verification) has to generate with
+// the same chunk size the reference used, never one big NextBatch.
 func GenStream(gen Generator, total, chunk int) []*txn.Txn {
 	if chunk < 1 {
 		chunk = total

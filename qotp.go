@@ -107,7 +107,7 @@ type (
 )
 
 // NewMetricsRegistry returns an empty observability registry, to be shared
-// across components via ClientOptions.Metrics (and the qotpd layers).
+// across components via ClientOptions.Metrics.
 func NewMetricsRegistry() *MetricsRegistry { return obs.New() }
 
 // NewDedupWindow returns an empty exactly-once resubmission window, to be
