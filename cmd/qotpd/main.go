@@ -13,7 +13,8 @@
 // leader: the batch-native cluster is driven not by a harness loop but by
 // remote clients submitting single transactions over TCP (serve.RemoteClient),
 // which the leader's batch former groups into deterministic batches
-// (group commit on -batch / -maxdelay triggers) and answers one outcome per
+// (group commit: -batch caps a batch, -maxdelay bounds its wait while the
+// engine is busy, an idle engine takes it at once) and answers one outcome per
 // transaction. -clients/-ctxns size the demo load; -loop picks closed
 // (submit, wait, repeat) or open (submit continuously against the bounded
 // queue). With -clients 1 the submission order is deterministic, so the
@@ -71,7 +72,7 @@ func main() {
 		clients    = flag.Int("clients", 8, "concurrent remote clients (-serve mode)")
 		ctxns      = flag.Int("ctxns", 1000, "transactions submitted per client (-serve mode)")
 		loop       = flag.String("loop", "closed", "client loop in -serve mode: closed or open")
-		maxDelay   = flag.Duration("maxdelay", time.Millisecond, "batch former MaxDelay (-serve mode)")
+		maxDelay   = flag.Duration("maxdelay", time.Millisecond, "batch former MaxDelay: the longest a batch waits for more arrivals while the engine is busy; an idle engine takes it at once (-serve mode)")
 		httpAddr   = flag.String("http", "", "observability HTTP endpoint exposing /healthz, /readyz and /metrics (Prometheus text + JSON) for queue depth, batch fill, mesh traffic and more; e.g. :8080 (empty = off)")
 	)
 	flag.Parse()

@@ -33,10 +33,20 @@ type Engine struct {
 	pbs   [2]PlannedBatch
 	pbIdx int
 
-	// inflight is the completion channel of the batch the pipelined driver
-	// currently has executing (nil when idle). Touched only by the driver
+	// inflight reports that the pipelined driver has a batch executing whose
+	// result is not yet collected; execDone is the engine-owned channel that
+	// batch reports its result on. It is buffered, so the execution goroutine
+	// never blocks, and Drain/TryDrain empty it before the next Submit, so
+	// one channel serves every batch. inflight is touched only by the driver
 	// goroutine (Submit/Drain/ExecBatch callers).
-	inflight chan error
+	inflight bool
+	execDone chan error
+
+	// planWG and execWG join the planner and executor goroutines of one
+	// phase. They are fields, not locals, so no batch allocates one; the
+	// phases get one each because a pipelined plan overlaps execution.
+	planWG sync.WaitGroup
+	execWG sync.WaitGroup
 
 	// Cross-batch speculative state (Config.CrossBatch). specPending is the
 	// drained-but-unfinalized predecessor batch: it had logic aborts, so its
@@ -97,7 +107,7 @@ func New(store *storage.Store, cfg Config) (*Engine, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	e := &Engine{store: store, cfg: cfg}
+	e := &Engine{store: store, cfg: cfg, execDone: make(chan error, 1)}
 	nPart := store.Partitions()
 	for b := range e.pbs {
 		e.pbs[b].Ordered = make([][][]*txn.Fragment, cfg.Planners)
@@ -204,14 +214,13 @@ func (e *Engine) Submit(txns []*txn.Txn) error {
 	if planErr != nil || pb == nil {
 		return planErr
 	}
-	ch := make(chan error, 1)
-	e.inflight = ch
+	e.inflight = true
 	if e.cfg.CrossBatch {
 		drained := make(chan struct{})
 		e.specDrainCh = drained
-		go func() { ch <- e.execSpec(pb, start, drained) }()
+		go func() { e.execDone <- e.execSpec(pb, start, drained) }()
 	} else {
-		go func() { ch <- e.execPlanned(pb, start) }()
+		go func() { e.execDone <- e.execPlanned(pb, start) }()
 	}
 	return nil
 }
@@ -234,12 +243,11 @@ func (e *Engine) Pipelined() bool { return e.cfg.Pipeline }
 // Drain waits for the batch launched by the last Submit (if any) and returns
 // its execution error. A no-op on an idle engine.
 func (e *Engine) Drain() error {
-	if e.inflight == nil {
+	if !e.inflight {
 		return nil
 	}
-	err := <-e.inflight
-	e.inflight = nil
-	return err
+	e.inflight = false
+	return <-e.execDone
 }
 
 // TryDrain is the non-blocking Drain: done reports whether no submitted
@@ -248,12 +256,12 @@ func (e *Engine) Drain() error {
 // serving layer polls it to resolve a committed batch's clients immediately
 // instead of waiting for the next Submit.
 func (e *Engine) TryDrain() (done bool, err error) {
-	if e.inflight == nil {
+	if !e.inflight {
 		return true, nil
 	}
 	select {
-	case err := <-e.inflight:
-		e.inflight = nil
+	case err := <-e.execDone:
+		e.inflight = false
 		return true, err
 	default:
 		return false, nil
@@ -370,15 +378,14 @@ func (e *Engine) execSpec(pb *PlannedBatch, start time.Time, drained chan<- stru
 // the first fragment-execution error.
 func (e *Engine) drainQueues(pb *PlannedBatch, trackSpec bool, gen int) (anyAborted bool, err error) {
 	e.failure = atomic.Value{}
-	var wg sync.WaitGroup
 	for _, ex := range e.execs {
-		wg.Add(1)
-		go func(ex *executor) {
-			defer wg.Done()
+		e.execWG.Add(1)
+		go func() {
+			defer e.execWG.Done()
 			ex.run(pb, trackSpec, gen)
-		}(ex)
+		}()
 	}
-	wg.Wait()
+	e.execWG.Wait()
 	if err, _ := e.failure.Load().(error); err != nil {
 		return false, err
 	}
@@ -460,23 +467,19 @@ func (e *Engine) plan(pb *PlannedBatch, txns []*txn.Txn) error {
 	for p := range e.planScratch {
 		e.planScratch[p] = planResult{}
 	}
-	var wg sync.WaitGroup
 	for p := 0; p < nPlan; p++ {
 		lo := p * chunk
 		if lo >= len(txns) {
 			break
 		}
-		hi := lo + chunk
-		if hi > len(txns) {
-			hi = len(txns)
-		}
-		wg.Add(1)
-		go func(p, lo, hi int) {
-			defer wg.Done()
+		hi := min(lo+chunk, len(txns))
+		e.planWG.Add(1)
+		go func() {
+			defer e.planWG.Done()
 			e.planScratch[p] = e.planSlice(pb, p, txns[lo:hi], uint32(lo))
-		}(p, lo, hi)
+		}()
 	}
-	wg.Wait()
+	e.planWG.Wait()
 	pb.HasAbortable = false
 	for p := range e.planScratch {
 		if e.planScratch[p].err != nil {
@@ -549,14 +552,15 @@ func checkConservativeOrder(t *txn.Txn) error {
 // read-committed isolation into the committed slots. Each executor flips the
 // records of its own partitions, in parallel.
 func (e *Engine) flipSpeculativeVersions() {
-	var wg sync.WaitGroup
+	// A commit point never overlaps an execution phase, so the flips reuse
+	// its WaitGroup.
 	for _, ex := range e.execs {
 		if len(ex.flips) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(ex *executor) {
-			defer wg.Done()
+		e.execWG.Add(1)
+		go func() {
+			defer e.execWG.Done()
 			for _, r := range ex.flips {
 				if r.HasSpec && r.SpecEpoch == e.epoch {
 					copy(r.Val, r.Spec)
@@ -564,9 +568,9 @@ func (e *Engine) flipSpeculativeVersions() {
 				}
 			}
 			ex.flips = ex.flips[:0]
-		}(ex)
+		}()
 	}
-	wg.Wait()
+	e.execWG.Wait()
 	for _, r := range e.repairFlips {
 		if r.HasSpec && r.SpecEpoch == e.epoch {
 			copy(r.Val, r.Spec)

@@ -155,3 +155,36 @@ func TestPipelineErrorSurfaces(t *testing.T) {
 		t.Fatal("missing-record failure never surfaced")
 	}
 }
+
+// TestPipelinedSubmitAllocs pins the per-batch allocations of the pipelined
+// driver on a one-transaction batch, the shape an idle-engine serving path
+// produces: one closure per goroutine the batch fans out to (the execution
+// goroutine, one planner, two executors) and nothing else — no per-batch
+// completion channel or WaitGroup.
+func TestPipelinedSubmitAllocs(t *testing.T) {
+	const runs, maxAllocs = 200, 4
+	gen := ycsb.MustNew(ycsb.Config{Records: 1024, OpsPerTxn: 4, Partitions: 4, Seed: 7})
+	store := storage.MustOpen(gen.StoreConfig(4))
+	if err := gen.Load(store); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.New(store, core.Config{Planners: 1, Executors: 2, Pipeline: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	txns := gen.NextBatch(runs + 1) // AllocsPerRun adds one warm-up call
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := eng.Submit(txns[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > maxAllocs {
+		t.Errorf("%.1f allocs per 1-txn Submit+Drain, want <= %d", allocs, maxAllocs)
+	}
+}

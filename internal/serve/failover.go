@@ -136,9 +136,12 @@ func (c *FailoverClient) invalidate(gen int) {
 }
 
 // retryable reports whether err means "the leader is gone, try the cluster
-// again" rather than a verdict or a local/caller problem.
+// again" rather than a verdict or a local/caller problem. ErrConnClosed
+// counts too: invalidate closes a dead connection under every submitter
+// still using it, and those submissions must follow it to the new leader.
+// After Close the retry ends at once, because conn reports ErrConnClosed.
 func retryable(err error) bool {
-	return err != nil && errors.Is(err, ErrConnLost)
+	return errors.Is(err, ErrConnLost) || errors.Is(err, ErrConnClosed)
 }
 
 // Submit stamps t with this client's identity and submits it, transparently

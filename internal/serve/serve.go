@@ -13,21 +13,26 @@
 // # Batch forming (group commit)
 //
 // One former goroutine owns the engine (the engines are single-driver by
-// contract). It gathers submissions from a bounded queue into a batch until
-// either MaxBatch transactions have accumulated or MaxDelay has elapsed since
-// the batch's first transaction arrived — the classic group-commit triggers —
-// then numbers the batch, logs it (Config.WAL) and hands it to the engine
-// through the one driver contract every engine is given by engine.Drive:
-// Submit the batch, then watch two watermarks — how many submitted batches
-// have drained, and how many are final. The batch joins a window of
+// contract). It gathers submissions from a bounded queue into a batch and
+// closes it on the first of three triggers: MaxBatch transactions have
+// accumulated; the queue is momentarily dry while no earlier batch is still
+// executing or unfinal (an idle engine is never kept waiting for a fuller
+// batch); or MaxDelay has elapsed since the batch's first transaction
+// arrived. MaxDelay is thus a ceiling that binds only while the engine is
+// busy, and batch size follows service time as in classic group commit:
+// small batches at low load, full ones under saturation. It then numbers the
+// batch, logs it (Config.WAL) and hands it to the engine through the one
+// driver contract every engine is given by engine.Drive: Submit the batch,
+// then watch two watermarks — how many submitted batches have drained, and
+// how many are final. The batch joins a window of
 // submitted-but-unfinal batches, each entry carrying its own sequence number.
 // What overlaps with what is the engine's business, not a second code path
 // here: a speculating engine (core.Config.CrossBatch) executes batch k+1
 // before batch k's verdicts are final; a pipelined engine (core.Config.Pipeline,
 // dist.ArgPipeline) has drained == final and overlaps forming and planning
 // batch k+1 with the execution of batch k; a synchronous engine is final when
-// Submit returns, so its window is always empty and the queue buffers
-// arrivals during execution.
+// Submit returns, so its window is always empty, the queue buffers arrivals
+// during execution, and every batch closes as soon as the queue is dry.
 //
 // # Verdict routing
 //
@@ -80,11 +85,13 @@ type Config struct {
 	// MaxBatch is the size trigger: a forming batch is dispatched as soon as
 	// it holds this many transactions. Default 512.
 	MaxBatch int
-	// MaxDelay is the time trigger: a forming batch is dispatched at most
-	// this long after its first transaction arrived, full or not. Zero
-	// selects the 1ms default; a negative value selects the no-wait mode —
-	// dispatch immediately with whatever is queued (pure size trigger with
-	// opportunistic gathering).
+	// MaxDelay is the busy-engine ceiling on forming: while an earlier batch
+	// is still executing or unfinal, a forming batch waits for more arrivals
+	// at most this long after its first transaction arrived, full or not.
+	// An idle engine never waits: the batch is dispatched as soon as the
+	// queue is dry. Zero selects the 1ms default; a negative value selects
+	// the no-wait mode — dispatch with whatever is queued even while the
+	// engine is busy (pure size trigger with opportunistic gathering).
 	MaxDelay time.Duration
 	// MaxPending bounds the submission queue (accepted but not yet formed
 	// into a dispatched batch). Default 4*MaxBatch.
@@ -849,14 +856,18 @@ func (s *Server) recv(d time.Duration) (submission, bool) {
 	}
 }
 
-// gather forms one batch starting from first: it keeps accepting until
-// MaxBatch transactions are in hand or MaxDelay has passed since first
-// arrived, polling the windowed batches along the way so their clients
-// resolve at commit rather than after this forming window (the
-// latency-honesty requirement: a gather can last up to MaxDelay). It
-// appends into s.subs/s.txns, which run() points at the batch's rotation
-// buffer beforehand; the returned slice stays valid until that buffer's
-// next reuse, one full batch after this one resolves.
+// gather forms one batch starting from first: it takes whatever is already
+// queued, and closes the batch as soon as the queue is dry while the window
+// is empty — no submitted batch is executing or unfinal, so waiting would
+// only idle the engine. While a predecessor is in the window it keeps
+// accepting until MaxBatch transactions are in hand or MaxDelay has passed
+// since first arrived, polling the window every 100µs so its clients resolve
+// at commit rather than after this forming window (the latency-honesty
+// requirement: a gather can last up to MaxDelay) and so the batch closes
+// within one poll of the engine going idle. It appends into s.subs/s.txns,
+// which run() points at the batch's rotation buffer beforehand; the returned
+// slice stays valid until that buffer's next reuse, one full batch after
+// this one resolves.
 func (s *Server) gather(first submission) []submission {
 	s.subs = append(s.subs[:0], first)
 	deadline := first.enq.Add(s.cfg.MaxDelay)
@@ -885,14 +896,15 @@ func (s *Server) gather(first submission) []submission {
 			continue
 		default:
 		}
+		if len(s.window) == 0 {
+			break // adaptive close: the engine is idle and the queue is dry
+		}
 		if wait := time.Until(deadline); wait > 0 {
-			// Bound the timer wait while the window is non-empty so commits —
-			// and speculative finalizations with their possible retractions —
-			// are observed promptly mid-gather rather than at the next forming
-			// window.
-			if len(s.window) > 0 && wait > 100*time.Microsecond {
-				wait = 100 * time.Microsecond
-			}
+			// Bound the timer wait so commits — and speculative
+			// finalizations with their possible retractions — are observed
+			// promptly mid-gather rather than at the next forming window, and
+			// so the batch closes within one tick of the engine going idle.
+			wait = min(wait, 100*time.Microsecond)
 			if timer == nil {
 				timer = time.NewTimer(wait)
 			} else {
@@ -911,7 +923,7 @@ func (s *Server) gather(first submission) []submission {
 				}
 			}
 		}
-		break // time trigger fired (or MaxDelay=0 and the queue is empty)
+		break // time trigger fired (or no-wait mode and the queue is empty)
 	}
 formed:
 	s.txns = s.txns[:0]

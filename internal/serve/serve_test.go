@@ -184,23 +184,59 @@ func TestDriverScenarios(t *testing.T) {
 	}
 }
 
-// scenarioSizeTrigger: with a long MaxDelay, batches must form on MaxBatch
-// exactly — 8 submissions become two batches of 4, and outcomes report the
-// shared batch sequence (group-commit evidence).
-func scenarioSizeTrigger(t *testing.T, kind fakeKind) {
-	eng := &fakeEngine{kind: kind}
-	s, err := New(eng, Config{MaxBatch: 4, MaxDelay: time.Hour})
-	if err != nil {
+// holdBusy submits one warm-up transaction — the engine is idle, so it is
+// dispatched alone — and returns once the engine holds that batch at its gate
+// (eng.entered must be buffered). Until the gate opens the engine is busy:
+// the window is non-empty or the former is blocked on the engine, so nothing
+// queued behind the warm-up can close early on an idle engine, however the
+// submitter is scheduled.
+func holdBusy(t *testing.T, s *Server, eng *fakeEngine) {
+	t.Helper()
+	if _, err := s.Submit(context.Background(), mkTxn(1000)); err != nil {
 		t.Fatal(err)
 	}
-	var futs []*Future
-	for i := 0; i < 8; i++ {
+	select {
+	case <-eng.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("warm-up batch never reached the engine")
+	}
+}
+
+// submitN submits n transactions with IDs 0..n-1 and returns their futures.
+func submitN(t *testing.T, s *Server, n int) []*Future {
+	t.Helper()
+	futs := make([]*Future, n)
+	for i := range futs {
 		fut, err := s.Submit(context.Background(), mkTxn(uint64(i)))
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		futs = append(futs, fut)
+		futs[i] = fut
 	}
+	return futs
+}
+
+// wantSizes fails the test unless the engine saw exactly these batch sizes.
+func wantSizes(t *testing.T, eng *fakeEngine, want ...int) {
+	t.Helper()
+	if got := eng.batchSizes(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("engine saw batch sizes %v, want %v", got, want)
+	}
+}
+
+// scenarioSizeTrigger: behind a busy engine, with a long MaxDelay, batches
+// must form on MaxBatch exactly — 8 submissions queued behind a held warm-up
+// batch become two batches of 4, and outcomes report the shared batch
+// sequence (group-commit evidence).
+func scenarioSizeTrigger(t *testing.T, kind fakeKind) {
+	eng := &fakeEngine{kind: kind, entered: make(chan struct{}, 16), gate: make(chan struct{})}
+	s, err := New(eng, Config{MaxBatch: 4, MaxDelay: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	holdBusy(t, s, eng)
+	futs := submitN(t, s, 8)
+	close(eng.gate)
 	byBatch := map[uint64]int{}
 	for i, fut := range futs {
 		out := fut.Outcome()
@@ -212,52 +248,139 @@ func scenarioSizeTrigger(t *testing.T, kind fakeKind) {
 		}
 		byBatch[out.Batch]++
 	}
-	if byBatch[1] != 4 || byBatch[2] != 4 {
-		t.Errorf("outcomes per batch %v, want 4 each in batches 1 and 2", byBatch)
+	if byBatch[2] != 4 || byBatch[3] != 4 {
+		t.Errorf("outcomes per batch %v, want 4 each in batches 2 and 3", byBatch)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range eng.batchSizes() {
-		if n != 4 {
-			t.Errorf("engine saw batch of %d, want 4 (all: %v)", n, eng.batchSizes())
-		}
-	}
+	wantSizes(t, eng, 1, 4, 4)
 }
 
-// scenarioTimeTrigger: with MaxBatch far above the offered load, the MaxDelay
-// timer must dispatch the partial batch.
+// scenarioTimeTrigger: with MaxBatch far above the offered load and the
+// engine busy, the MaxDelay timer must dispatch the partial batch — while its
+// predecessor still executes, and no earlier than MaxDelay after the batch's
+// first transaction arrived. Only the pipelined fake is ever busy while the
+// former gathers; the other two finish a batch on the former goroutine, so
+// MaxDelay never binds for them (TestAdaptiveClose covers how they close).
 func scenarioTimeTrigger(t *testing.T, kind fakeKind) {
-	s, err := New(&fakeEngine{kind: kind}, Config{MaxBatch: 1 << 20, MaxDelay: 10 * time.Millisecond})
+	if kind != fakePipe {
+		t.Skip("this fake finishes batches on the former goroutine: never busy while the former gathers")
+	}
+	const maxDelay = 10 * time.Millisecond
+	eng := &fakeEngine{kind: kind, gate: make(chan struct{})}
+	var (
+		s     *Server
+		futs  []*Future
+		start time.Time
+	)
+	logged := make(chan time.Time, 1)
+	lg := &seqLogger{seqOf: map[uint64]uint64{}}
+	lg.hook = func(seq uint64) {
+		switch seq {
+		case 1:
+			// The warm-up is numbered and about to be held at the gate:
+			// queue the partial batch now, so the former gathers it behind a
+			// busy engine.
+			start = time.Now()
+			for i := 0; i < 3; i++ {
+				fut, err := s.Submit(context.Background(), mkTxn(uint64(i)))
+				if err != nil {
+					t.Errorf("submit %d: %v", i, err)
+					return
+				}
+				futs = append(futs, fut)
+			}
+		case 2:
+			logged <- time.Now()
+		}
+	}
+	s, err := New(eng, Config{MaxBatch: 1 << 20, MaxDelay: maxDelay, MaxPending: 16, WAL: lg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	var futs []*Future
-	for i := 0; i < 3; i++ {
-		fut, err := s.Submit(context.Background(), mkTxn(uint64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		futs = append(futs, fut)
+	if _, err := s.Submit(context.Background(), mkTxn(1000)); err != nil {
+		t.Fatal(err)
 	}
-	deadline := time.After(5 * time.Second)
-	for i, fut := range futs {
-		select {
-		case <-fut.Done():
-			if out := fut.Outcome(); !out.Committed {
-				t.Errorf("txn %d not committed: %+v", i, out)
-			}
-		case <-deadline:
-			t.Fatalf("txn %d not resolved: MaxDelay trigger did not fire", i)
+	select {
+	case at := <-logged:
+		if waited := at.Sub(start); waited < maxDelay {
+			t.Errorf("partial batch dispatched %v after its first arrival, before MaxDelay %v", waited, maxDelay)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("partial batch not dispatched while the engine was busy: MaxDelay trigger did not fire")
+	}
+	close(eng.gate)
+	for i, fut := range futs {
+		if out := fut.Outcome(); !out.Committed || out.Batch != 2 {
+			t.Errorf("txn %d: %+v, want committed in batch 2", i, out)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantSizes(t, eng, 1, 3)
+}
+
+// TestAdaptiveClose: MaxDelay is a ceiling that binds only while the engine
+// is busy. On an idle engine a lone submission is dispatched as soon as the
+// queue is dry, not MaxDelay later; behind a held batch the former still
+// accumulates — N < MaxBatch submissions queued while batch 1 executes form
+// exactly one batch of N once it finishes.
+func TestAdaptiveClose(t *testing.T) {
+	const maxBatch, n = 64, 5
+	for _, k := range fakeKinds {
+		t.Run(k.name+"/idle", func(t *testing.T) {
+			eng := &fakeEngine{kind: k.kind}
+			s, err := New(eng, Config{MaxBatch: maxBatch, MaxDelay: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fut, err := s.Submit(context.Background(), mkTxn(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-fut.Done():
+				if out := fut.Outcome(); !out.Committed || out.Batch != 1 {
+					t.Fatalf("outcome %+v, want committed in batch 1", out)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("lone submission on an idle engine unresolved after 1s: the former waited out MaxDelay")
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			wantSizes(t, eng, 1)
+		})
+		t.Run(k.name+"/busy", func(t *testing.T) {
+			eng := &fakeEngine{kind: k.kind, entered: make(chan struct{}, 16), gate: make(chan struct{})}
+			s, err := New(eng, Config{MaxBatch: maxBatch, MaxDelay: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			holdBusy(t, s, eng)
+			futs := submitN(t, s, n)
+			close(eng.gate)
+			for i, fut := range futs {
+				if out := fut.Outcome(); !out.Committed || out.Batch != 2 {
+					t.Errorf("txn %d: %+v, want committed in batch 2", i, out)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			wantSizes(t, eng, 1, n)
+		})
 	}
 }
 
 // scenarioEarlyResolution: a batch's futures must resolve when the batch
-// becomes final — observed by the mid-gather poll — not when the former next
-// hands the engine a batch. Batch 2 here never finishes forming (MaxDelay is
-// an hour), so only that poll can resolve batch 1.
+// becomes final, not when the former next hands the engine a batch. Batch 1
+// is held at its final point while later submissions queue or form behind it
+// (MaxDelay is an hour, so only a full batch or an idle engine closes them);
+// releasing batch 1 must resolve its futures promptly, through the poll the
+// former runs while the next batch is forming.
 func scenarioEarlyResolution(t *testing.T, kind fakeKind) {
 	eng := &fakeEngine{kind: kind, gate: make(chan struct{}, 16)}
 	s, err := New(eng, Config{MaxBatch: 2, MaxDelay: time.Hour})
@@ -406,37 +529,41 @@ func (l *seqLogger) LogBatch(seq uint64, txns []*txn.Txn) error {
 // pipelined engine, batch k finishes after batch k+1 has been numbered but
 // before the former next touches the engine. Every window entry carries its
 // own seq, so the label cannot depend on the counter's value at resolution.
+// A warm-up batch holds the former in its LogBatch until all six submissions
+// are queued, so they form as pairs whatever the scheduling.
 func TestOutcomeBatchIsTheLoggedSeq(t *testing.T) {
 	eng := &fakeEngine{kind: fakePipe, gate: make(chan struct{}), exited: make(chan struct{}, 16)}
+	held, queued := make(chan struct{}), make(chan struct{})
 	lg := &seqLogger{seqOf: map[uint64]uint64{}}
 	lg.hook = func(seq uint64) {
-		if seq > 1 {
-			eng.gate <- struct{}{} // batch seq-1 finishes now, its successor already numbered,
-			<-eng.exited           // and its result is drainable before the engine is next polled
+		if seq == 1 {
+			close(held)
+			<-queued
+			return
 		}
+		eng.gate <- struct{}{} // batch seq-1 finishes now, its successor already numbered,
+		<-eng.exited           // and its result is drainable before the engine is next polled
 	}
 	s, err := New(eng, Config{MaxBatch: 2, MaxDelay: time.Hour, WAL: lg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var futs []*Future
-	for i := 0; i < 6; i++ {
-		fut, err := s.Submit(context.Background(), mkTxn(uint64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		futs = append(futs, fut)
+	if _, err := s.Submit(context.Background(), mkTxn(1000)); err != nil {
+		t.Fatal(err)
 	}
+	<-held
+	futs := submitN(t, s, 6)
+	close(queued)
 	for _, fut := range futs[:4] {
-		<-fut.Done() // batches 1 and 2 were released by their successors' LogBatch
+		<-fut.Done() // batches 2 and 3 were released by their successors' LogBatch
 	}
-	eng.gate <- struct{}{} // batch 3 has no successor
+	eng.gate <- struct{}{} // batch 4 has no successor
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	for i, fut := range futs {
-		if got, want := fut.Outcome().Batch, lg.seqOf[uint64(i)]; got != want || want != uint64(i/2+1) {
-			t.Errorf("txn %d: Outcome.Batch = %d, logged under seq %d (want %d)", i, got, want, i/2+1)
+		if got, want := fut.Outcome().Batch, lg.seqOf[uint64(i)]; got != want || want != uint64(i/2+2) {
+			t.Errorf("txn %d: Outcome.Batch = %d, logged under seq %d (want %d)", i, got, want, i/2+2)
 		}
 	}
 }
@@ -528,13 +655,16 @@ func TestBackpressureBlocking(t *testing.T) {
 }
 
 // TestVerdictsAndSessions: logic aborts must come back as Aborted outcomes,
-// and per-session accounting must match.
+// and per-session accounting must match. The six session submissions queue
+// behind a held warm-up batch, so they form one batch in which the fake
+// aborts every third transaction.
 func TestVerdictsAndSessions(t *testing.T) {
-	eng := &fakeEngine{abortNth: 3}
+	eng := &fakeEngine{abortNth: 3, entered: make(chan struct{}, 16), gate: make(chan struct{})}
 	s, err := New(eng, Config{MaxBatch: 6, MaxDelay: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
+	holdBusy(t, s, eng)
 	sess := s.Session()
 	var futs []*Future
 	for i := 0; i < 6; i++ {
@@ -544,6 +674,7 @@ func TestVerdictsAndSessions(t *testing.T) {
 		}
 		futs = append(futs, fut)
 	}
+	close(eng.gate)
 	committed, aborted := 0, 0
 	for _, fut := range futs {
 		out := fut.Outcome()
@@ -567,9 +698,10 @@ func TestVerdictsAndSessions(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	wantSizes(t, eng, 1, 6)
 	snap := s.Snapshot()
-	if snap.Committed != 4 || snap.UserAborts != 2 {
-		t.Errorf("server stats %d/%d, want 4/2", snap.Committed, snap.UserAborts)
+	if snap.Committed != 5 || snap.UserAborts != 2 {
+		t.Errorf("server stats %d/%d, want 5/2 (the session's 4/2 and the warm-up)", snap.Committed, snap.UserAborts)
 	}
 	if snap.P999 < snap.P50 {
 		t.Errorf("p999 %v < p50 %v", snap.P999, snap.P50)

@@ -134,9 +134,10 @@ var (
 
 // Client is the client-facing submission front end over one engine: Submit
 // individual transactions, get per-transaction Futures, let the internal
-// batch former group submissions into deterministic batches (group commit on
-// MaxBatch/MaxDelay triggers) and route each verdict back at the batch
-// commit point. The Client becomes the engine's single driver and — unlike
+// batch former group submissions into deterministic batches (group commit:
+// a batch closes at MaxBatch, as soon as the queue is dry while the engine is
+// idle, or at the MaxDelay ceiling while it is busy) and route each verdict
+// back at the batch commit point. The Client becomes the engine's single driver and — unlike
 // the internal serving layer — owns the engine: Close drains accepted work,
 // then closes the engine.
 type Client struct {

@@ -146,8 +146,11 @@ func TestClientMatchesBatchDriven(t *testing.T) {
 						break
 					}
 				}
-				// Close first: the hour-long MaxDelay shapes leave a partial
-				// tail batch that only the close-time drain dispatches.
+				// Close first: it waits out every accepted transaction, so
+				// each Future below is resolved whatever the forming shape.
+				// (The tail batch is not stranded by the hour-long MaxDelay
+				// shapes: MaxDelay binds only while the engine is busy, and
+				// the former closes a batch once the engine is idle.)
 				if err := cli.Close(); err != nil {
 					t.Fatal(err)
 				}
