@@ -80,6 +80,16 @@ type Engine struct {
 	// under read-committed isolation (single-threaded appends only).
 	repairFlips []*storage.Record
 
+	// Repair scratch, reused by every pass (repair runs on one goroutine):
+	// the abort-set and taint marks by global position, the per-record scan
+	// state of records abort-set members touched, and runTxnSerial's undo
+	// log, before-image arena and fragment context.
+	inA, tainted []bool
+	recState     map[*storage.Record]uint8
+	undo         []serialUndo
+	undoArena    []byte
+	serialCtx    txn.FragCtx
+
 	// failure is the first fragment-execution error of the current batch
 	// (workload bugs, missing records); reset at the start of every
 	// execution. Planning reports its errors through planResult instead, so
@@ -107,7 +117,7 @@ func New(store *storage.Store, cfg Config) (*Engine, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	e := &Engine{store: store, cfg: cfg, execDone: make(chan error, 1)}
+	e := &Engine{store: store, cfg: cfg, execDone: make(chan error, 1), recState: make(map[*storage.Record]uint8)}
 	nPart := store.Partitions()
 	for b := range e.pbs {
 		e.pbs[b].Ordered = make([][][]*txn.Fragment, cfg.Planners)

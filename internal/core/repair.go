@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/exploratory-systems/qotp/internal/storage"
 	"github.com/exploratory-systems/qotp/internal/txn"
@@ -30,146 +29,175 @@ import (
 // transactions whose abort verdict may have been reached on dirty reads —
 // are re-executed serially in ascending priority order. The result is
 // exactly the serial-order state of the batch.
+//
+// The closure is computed by scanning the logs in place. A record is only
+// ever accessed by its owning executor, so one executor's log — its
+// predecessor-batch generation, then its current one — already lists every
+// access to each of its records in priority order; interleaving with other
+// records does not matter, because the rules only look at earlier accesses
+// to the same record. One scan applies both rules to every entry; scans
+// repeat until no verdict changes, and one more scan rolls back. Each scan
+// costs O(log length), and the only per-record state is a reused map that
+// holds the records abort-set members touched.
 func (e *Engine) repair(txns []*txn.Txn) error {
 	return e.repairCross(nil, 0, txns, 0)
 }
 
-// repairEntry pairs an access-log entry with its transaction's global
-// position in the (up to two) batches under repair.
-type repairEntry struct {
-	en  *accessEntry
-	pos int
-}
+// Per-record state of one repair scan (Engine.recState).
+const (
+	writeTaint uint8 = 1 << iota // an A-member wrote the record earlier in the scan
+	readTaint                    // an A-member read the record earlier in the scan
+	rolledBack                   // the rollback scan restored the record
+)
 
-// repairCross is the generalized repair pass: it runs the abort-set fixpoint
-// over the concatenation of a pending predecessor batch (prev, logged in
-// executor generation prevGen; nil outside cross-batch deferral) and the
-// current batch (cur, generation curGen), treating the two as one sequence
-// in priority order — prev's positions before cur's. This is what makes
-// cross-batch speculation sound: a cur transaction that read state rolled
-// back by prev's repair joins the abort set through the same two taint rules
-// and is re-executed, so the post-repair state equals serial execution of
-// prev then cur.
+// repairCross is the generalized repair pass over the concatenation of a
+// pending predecessor batch (prev, logged in executor generation prevGen;
+// nil outside cross-batch deferral) and the current batch (cur, generation
+// curGen), treating the two as one sequence in priority order — prev's
+// positions before cur's. This is what makes cross-batch speculation sound:
+// a cur transaction that read state rolled back by prev's repair joins the
+// abort set through the same two taint rules and is re-executed, so the
+// post-repair state equals serial execution of prev then cur.
 func (e *Engine) repairCross(prev []*txn.Txn, prevGen int, cur []*txn.Txn, curGen int) error {
-	// Gather per-record access sequences. A record is only ever accessed by
-	// its owning executor, so walking each executor's prev-generation log
-	// before its cur-generation log yields per-record priority order across
-	// both batches.
+	e.rollBackAbortSet(prev, prevGen, cur, curGen)
+	// Re-execute tainted members serially in global priority order: all of
+	// prev precedes all of cur, and Plan numbers each batch's BatchPos in
+	// slice order. Untainted logic aborts stay aborted: their verdicts were
+	// reached on clean state.
 	off := len(prev)
-	byRec := make(map[*storage.Record][]repairEntry)
-	for _, ex := range e.execs {
-		if prev != nil {
-			for i := range ex.logs[prevGen] {
-				en := &ex.logs[prevGen][i]
-				byRec[en.rec] = append(byRec[en.rec], repairEntry{en, int(en.t.BatchPos)})
-			}
-		}
-		for i := range ex.logs[curGen] {
-			en := &ex.logs[curGen][i]
-			byRec[en.rec] = append(byRec[en.rec], repairEntry{en, off + int(en.t.BatchPos)})
-		}
-	}
-
-	// inA marks the abort set; tainted marks members added (or re-marked)
-	// by dependency rules rather than by their own clean-state logic abort.
-	// Tainted transactions are re-executed — including logic-aborted ones,
-	// whose abort verdict may have been based on speculative (dirty) reads
-	// and must be re-evaluated against clean state.
-	inA := make([]bool, off+len(cur))
-	tainted := make([]bool, off+len(cur))
 	for _, t := range prev {
-		if t.Aborted() {
-			inA[t.BatchPos] = true
+		if e.tainted[t.BatchPos] {
+			if err := e.reexecute(t); err != nil {
+				return err
+			}
 		}
 	}
 	for _, t := range cur {
-		if t.Aborted() {
-			inA[off+int(t.BatchPos)] = true
-		}
-	}
-
-	// Fixpoint taint propagation.
-	for changed := true; changed; {
-		changed = false
-		for _, seq := range byRec {
-			writeTaint := false // a write by an A-member has occurred
-			readTaint := false  // a read by an A-member has occurred
-			for _, re := range seq {
-				pos := re.pos
-				if writeTaint || (readTaint && re.en.write) {
-					if !inA[pos] {
-						inA[pos] = true
-						changed = true
-					}
-					if !tainted[pos] {
-						tainted[pos] = true
-						changed = true
-					}
-				}
-				if inA[pos] {
-					if re.en.write {
-						writeTaint = true
-					} else {
-						readTaint = true
-					}
-				}
+		if e.tainted[off+int(t.BatchPos)] {
+			if err := e.reexecute(t); err != nil {
+				return err
 			}
-		}
-	}
-
-	// Rollback: restore each record to the before-image of its first write
-	// by an A-member.
-	for _, seq := range byRec {
-		for _, re := range seq {
-			en := re.en
-			if !en.write || !inA[re.pos] {
-				continue
-			}
-			if en.inserted {
-				e.store.Table(en.frag.Table).Remove(en.frag.Key)
-			} else if e.cfg.Isolation == ReadCommitted {
-				if en.hadSpec {
-					copy(en.rec.Spec, en.before)
-				} else {
-					en.rec.HasSpec = false
-				}
-			} else {
-				copy(en.rec.Val, en.before)
-				en.rec.HasSpec = false
-			}
-			break
-		}
-	}
-
-	// Re-execute tainted members serially in global priority order (all of
-	// prev precedes all of cur). Untainted logic aborts stay aborted: their
-	// verdicts were reached on clean state.
-	type victim struct {
-		t   *txn.Txn
-		pos int
-	}
-	var victims []victim
-	for _, t := range prev {
-		if tainted[t.BatchPos] {
-			victims = append(victims, victim{t, int(t.BatchPos)})
-		}
-	}
-	for _, t := range cur {
-		if tainted[off+int(t.BatchPos)] {
-			victims = append(victims, victim{t, off + int(t.BatchPos)})
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].pos < victims[j].pos })
-	for _, v := range victims {
-		e.stats.Retries.Add(1)
-		if err := e.runTxnSerial(v.t); err != nil {
-			return err
 		}
 	}
 	return nil
 }
 
-// serialUndo is a rollback entry for the serial (repair / recovery) executor.
+// reexecute runs one tainted transaction again against the repaired state.
+func (e *Engine) reexecute(t *txn.Txn) error {
+	e.stats.Retries.Add(1)
+	return e.runTxnSerial(t)
+}
+
+// rollBackAbortSet is the verdict half of repairCross: it leaves the abort
+// set in e.inA and its tainted members in e.tainted, both indexed by global
+// position (prev's BatchPos, then len(prev) + cur's), and rolls every record
+// an A-member wrote back to the before-image of that first write. Tainted
+// members joined A (or were re-marked) through a rule rather than through
+// their own clean-state logic abort; they are the ones re-executed,
+// including logic-aborted ones whose verdict may rest on dirty reads.
+func (e *Engine) rollBackAbortSet(prev []*txn.Txn, prevGen int, cur []*txn.Txn, curGen int) {
+	off := len(prev)
+	n := off + len(cur)
+	e.inA = resetMarks(e.inA, n)
+	e.tainted = resetMarks(e.tainted, n)
+	for _, t := range prev {
+		if t.Aborted() {
+			e.inA[t.BatchPos] = true
+		}
+	}
+	for _, t := range cur {
+		if t.Aborted() {
+			e.inA[off+int(t.BatchPos)] = true
+		}
+	}
+	for changed := true; changed; {
+		clear(e.recState)
+		changed = false
+		for _, ex := range e.execs {
+			if prev != nil && e.taintScan(ex.logs[prevGen], 0) {
+				changed = true
+			}
+			if e.taintScan(ex.logs[curGen], off) {
+				changed = true
+			}
+		}
+	}
+	clear(e.recState)
+	for _, ex := range e.execs {
+		if prev != nil {
+			e.rollbackScan(ex.logs[prevGen], 0)
+		}
+		e.rollbackScan(ex.logs[curGen], off)
+	}
+}
+
+// resetMarks returns marks resized to n and all false, reusing its array.
+func resetMarks(marks []bool, n int) []bool {
+	if cap(marks) < n {
+		return make([]bool, n)
+	}
+	marks = marks[:n]
+	clear(marks)
+	return marks
+}
+
+// taintScan applies both abort-set rules to every entry of one log segment
+// whose transactions sit at global positions off + BatchPos, and reports
+// whether any transaction joined A or became tainted.
+func (e *Engine) taintScan(log []accessEntry, off int) (changed bool) {
+	for i := range log {
+		en := &log[i]
+		pos := off + int(en.t.BatchPos)
+		var st uint8
+		if len(e.recState) > 0 {
+			st = e.recState[en.rec]
+		}
+		if st&writeTaint != 0 || (st&readTaint != 0 && en.write) {
+			if !e.inA[pos] || !e.tainted[pos] {
+				e.inA[pos], e.tainted[pos] = true, true
+				changed = true
+			}
+		}
+		if !e.inA[pos] {
+			continue
+		}
+		bit := readTaint
+		if en.write {
+			bit = writeTaint
+		}
+		if st&bit == 0 {
+			e.recState[en.rec] = st | bit
+		}
+	}
+	return changed
+}
+
+// rollbackScan restores each record of one log segment that an A-member
+// wrote to the before-image of the first such write, unless an earlier
+// segment of the same scan already restored it.
+func (e *Engine) rollbackScan(log []accessEntry, off int) {
+	for i := range log {
+		en := &log[i]
+		if !en.write || !e.inA[off+int(en.t.BatchPos)] || e.recState[en.rec]&rolledBack != 0 {
+			continue
+		}
+		e.recState[en.rec] = rolledBack
+		if en.inserted {
+			e.store.Table(en.frag.Table).Remove(en.frag.Key)
+		} else if e.cfg.Isolation == ReadCommitted {
+			if en.hadSpec {
+				copy(en.rec.Spec, en.before)
+			} else {
+				en.rec.HasSpec = false
+			}
+		} else {
+			copy(en.rec.Val, en.before)
+			en.rec.HasSpec = false
+		}
+	}
+}
+
+// serialUndo is a rollback entry for the serial repair executor.
 type serialUndo struct {
 	rec      *storage.Record
 	table    storage.TableID
@@ -181,14 +209,16 @@ type serialUndo struct {
 
 // runTxnSerial executes one transaction to completion on the calling
 // goroutine, with no speculation: a fresh logic abort rolls back the
-// transaction's own writes immediately. Used for cascade repair and for WAL
-// replay. Fragments run in sequence order, which satisfies all
-// intra-transaction dependencies by construction.
+// transaction's own writes immediately. Cascade repair is its only caller.
+// Fragments run in sequence order, which satisfies all intra-transaction
+// dependencies by construction. The undo log, its before-image arena and
+// the fragment context are engine-owned and reset per call, so a call
+// allocates nothing.
 func (e *Engine) runTxnSerial(t *txn.Txn) error {
 	t.Reset()
 	rcMode := e.cfg.Isolation == ReadCommitted
-	var undo []serialUndo
-	var ctx txn.FragCtx
+	e.undo = e.undo[:0]
+	e.undoArena = e.undoArena[:0]
 	for i := range t.Frags {
 		f := &t.Frags[i]
 		table := e.store.Table(f.Table)
@@ -228,16 +258,18 @@ func (e *Engine) runTxnSerial(t *txn.Txn) error {
 		if f.Access.IsWrite() {
 			var before []byte
 			if !inserted {
-				before = append([]byte(nil), buf...)
+				off := len(e.undoArena)
+				e.undoArena = append(e.undoArena, buf...)
+				before = e.undoArena[off:len(e.undoArena):len(e.undoArena)]
 			}
-			undo = append(undo, serialUndo{
+			e.undo = append(e.undo, serialUndo{
 				rec: rec, table: f.Table, key: f.Key,
 				before: before, inserted: inserted, hadSpec: hadSpec,
 			})
 		}
 
-		ctx = txn.FragCtx{T: t, F: f, Val: buf}
-		err := f.Logic(&ctx)
+		e.serialCtx = txn.FragCtx{T: t, F: f, Val: buf}
+		err := f.Logic(&e.serialCtx)
 		if f.Abortable {
 			if err == txn.ErrAbort {
 				t.MarkAborted()
@@ -252,8 +284,8 @@ func (e *Engine) runTxnSerial(t *txn.Txn) error {
 		}
 		if t.Aborted() {
 			// Roll back this transaction's own writes, newest first.
-			for j := len(undo) - 1; j >= 0; j-- {
-				u := undo[j]
+			for j := len(e.undo) - 1; j >= 0; j-- {
+				u := &e.undo[j]
 				switch {
 				case u.inserted:
 					e.store.Table(u.table).Remove(u.key)
